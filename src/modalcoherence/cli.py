@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for ``eq``: the terms are equal), 1 domain verdict
 "no" (``eq`` inequality, failed check suite), 2 type mismatch for ``eq``,
-64 usage error, 65 domain error (bad input, ill-typed term, and so on).
+64 usage error, 65 domain error (bad input, ill-typed term, and so on), 70
+internal error (any other exception; never a verdict).
 """
 
 from __future__ import annotations
@@ -12,8 +13,15 @@ import sys
 from random import Random
 
 from . import diagram as dg
-from .decide import HomQuery, enum_hom, mirror_term, random_term, synthesize
-from .interp import check_soundness, decide_equal, interp
+from .decide import (
+    SYNTHESIS_THEORIES,
+    HomQuery,
+    enum_hom,
+    mirror_term,
+    random_term,
+    synthesize,
+)
+from .interp import VARIANTS, check_soundness, decide_equal, interp
 from .quotient import skeleton
 from .rewrite import confluence_check, normalize, prove_equal_bounded, search_depth
 from .simplicial import (
@@ -28,6 +36,7 @@ from .theories import REGISTRY, get_theory, typecheck
 
 USAGE_ERROR = 64
 DOMAIN_ERROR = 65
+INTERNAL_ERROR = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +73,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("interp", help="interpret a term as a diagram")
     p.add_argument("--theory", required=True, choices=sorted(REGISTRY))
-    p.add_argument("--functor", default="std",
-                   choices=["std", "eps", "delta", "dual", "sharp"])
+    p.add_argument("--functor", default="std", choices=VARIANTS)
     p.add_argument("--format", default="ascii", choices=["ascii", "json"])
     p.add_argument("term")
 
@@ -214,8 +222,6 @@ def _cmd_check(args) -> int:
             if parse_term(term_to_str(term)) != term:
                 print(f"print/parse failed: {term}")
                 return 1
-            from .decide import SYNTHESIS_THEORIES
-
             if theory.id in SYNTHESIS_THEORIES:
                 image = interp(theory, term)
                 if not interp(theory, synthesize(theory, image)).same_as(image):
@@ -262,12 +268,12 @@ def run(argv: list[str]) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except TermError as exc:
+    except (TermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

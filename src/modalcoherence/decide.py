@@ -5,14 +5,15 @@ theories.
 Synthesis inverts the coherence functor: given a diagram in the image of a
 theory's functor, it produces a term in the theory's staged normal form whose
 interpretation is exactly that diagram.  Stages follow each theory's
-factorization (deletions, duplications, permutations, merges, insertions, or
-the kill/cup and birth/cap stages of the split-equivalence theories), and
-within a stage generators are applied at the largest position first, which
-makes the output canonical.
+factorization, declared in ``theories.STAGES`` (deletions, duplications,
+permutations, merges, insertions, or the kill/cup and birth/cap stages of the
+split-equivalence theories), and within a stage generators are applied at the
+largest position first, which makes the output canonical.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
@@ -30,19 +31,20 @@ from .terms import (
     Gen,
     Id,
     TermError,
+    append_context,
     dualize,
     factors_to_term,
     letter_at,
     rev_word,
     swap_word,
+    term_factors,
 )
-from .theories import Theory, applicable_factors, get_theory
+from .theories import GEN, STAGES, Theory, applicable_factors, get_theory
 
-_STRUCTURAL = {"t_box", "t_dia", "k4_box", "k4_dia", "s4_box", "s4_dia",
-               "s_chi", "splus_chi_op", "s4_box_chi", "s4_dia_chi",
-               "s4_boxdia", "s42", "s4_boxdia_chi", "s5", "fives"}
-
-SYNTHESIS_THEORIES = frozenset(_STRUCTURAL)
+SYNTHESIS_THEORIES = frozenset({
+    "t_box", "t_dia", "k4_box", "k4_dia", "s4_box", "s4_dia", "s_chi",
+    "splus_chi_op", "s4_box_chi", "s4_dia_chi", "s4_boxdia", "s42",
+    "s4_boxdia_chi", "s5", "fives"})
 
 
 class SynthesisError(TermError):
@@ -55,18 +57,18 @@ def _require_words(d: dg.Diagram) -> tuple[str, str]:
     return d.src_word, d.tgt_word
 
 
-# ---------------------------------------------------------------------------
-# Elementary factor emission
-
-
 class _Builder:
-    """Emits elementary factors while tracking the evolving word."""
+    """Emits elementary factors of one theory while tracking the evolving
+    word; positions count from the right."""
 
-    def __init__(self, word: str):
+    def __init__(self, theory: Theory, word: str):
+        self.theory = theory
         self.word = word
         self.factors: list[Factor] = []
 
     def emit(self, kind: str, pos: int) -> None:
+        if not self.theory.admits(kind):
+            raise SynthesisError(f"{kind} is not in theory {self.theory.id}")
         src_pre, tgt_pre = GENERATORS[kind]
         w = self.word
         cut = len(w) - pos
@@ -76,59 +78,6 @@ class _Builder:
                 f"cannot apply {kind} at position {pos} of {w!r}")
         self.factors.append(Factor(prefix, kind, index))
         self.word = prefix + tgt_pre + index
-
-    # Moves named by their effect on the word (pos counts from the right).
-    def delete_box(self, pos):
-        self.emit("eps_box", pos)
-
-    def insert_dia(self, pos):
-        self.emit("eps_dia", pos)
-
-    def dup_box(self, pos):
-        self.emit("delta_bb", pos)
-
-    def merge(self, pos):
-        # Joins strand pos+1 (a diamond) down into strand pos.
-        kind = "delta_dd" if letter_at(self.word, pos) == DIA else "delta_db"
-        self.emit(kind, pos)
-
-    def split(self, pos):
-        # Grows a box strand at pos+1 out of strand pos.
-        kind = "delta_bb" if letter_at(self.word, pos) == BOX else "delta_bd"
-        self.emit(kind, pos)
-
-    def swap(self, pos):
-        upper = letter_at(self.word, pos + 1)
-        lower = letter_at(self.word, pos)
-        kind = {"bb": "chi_bb", "dd": "chi_dd",
-                "db": "chi_db", "bd": "chi_bd"}[upper + lower]
-        self.emit(kind, pos)
-
-
-# ---------------------------------------------------------------------------
-# Relation-side analysis
-
-
-def _fanouts(d: dg.RelDiagram) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    by_src: dict[int, list[int]] = {i: [] for i in range(d.src_len)}
-    by_tgt: dict[int, list[int]] = {j: [] for j in range(d.tgt_len)}
-    for i, j in sorted(d.pairs):
-        by_src[i].append(j)
-        by_tgt[j].append(i)
-    return by_src, by_tgt
-
-
-def _rel_is_monotone_graph(d: dg.RelDiagram) -> Optional[list[int]]:
-    """The value list of d when it is the graph of a monotone total map."""
-    by_src, _ = _fanouts(d)
-    values = []
-    for i in range(d.src_len):
-        if len(by_src[i]) != 1:
-            return None
-        values.append(by_src[i][0])
-    if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
-        return None
-    return values
 
 
 def _dualized(d: dg.Diagram) -> dg.Diagram:
@@ -144,427 +93,74 @@ def _dualized(d: dg.Diagram) -> dg.Diagram:
                       sw(flipped.src_word), sw(flipped.tgt_word))
 
 
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise SynthesisError(message)
-
-
 # ---------------------------------------------------------------------------
 # Synthesis for the relational theories
 
 
-def _synth_monotone(d: dg.RelDiagram, allow_merge: bool, allow_insert: bool) -> list[Factor]:
-    """Merge-then-insert synthesis for graphs of monotone maps (the diamond
-    counit/comultiplication fragments)."""
+def _synth_staged(theory: Theory, d: dg.RelDiagram) -> list[Factor]:
+    """Run the theory's stages, in the order ``theories.STAGES`` declares,
+    on a bottom-up list of (sources, targets) strands, one per source at the
+    start.  Each stage applies its generator at the largest position first:
+
+    - ``eps_box`` deletes the strands that have no target;
+    - ``delta_bb`` splits a strand into one strand per target;
+    - a ``chi`` kind bubbles strands into (targets, sources) order, making
+      only the swaps of that kind;
+    - ``delta_dd`` merges adjacent strands with equal target sets;
+    - ``eps_dia`` inserts a strand for each unlinked target.
+
+    The diagram is in the image exactly when the strands end up as the
+    targets 0..n-1 in order under the target word.
+    """
     src, tgt = _require_words(d)
-    values = _rel_is_monotone_graph(d)
-    _check(values is not None, "not the graph of a monotone total map")
-    by_src, by_tgt = _fanouts(d)
-    for j in range(d.tgt_len):
-        fiber = by_tgt[j]
-        if len(fiber) == 0:
-            _check(allow_insert and letter_at(tgt, j) == DIA,
-                   f"unlinked target {j} must be an insertable diamond")
-        elif len(fiber) == 1:
-            _check(letter_at(src, fiber[0]) == letter_at(tgt, j),
-                   f"link ({fiber[0]},{j}) changes the operator")
+    targets_of: list[list[int]] = [[] for _ in range(d.src_len)]
+    for i, j in sorted(d.pairs):
+        targets_of[i].append(j)
+    strands = [((i,), tuple(ts)) for i, ts in enumerate(targets_of)]
+    builder = _Builder(theory, src)
+    for kind in STAGES[theory.id]:
+        if kind == "eps_box":
+            for p in reversed(range(len(strands))):
+                if not strands[p][1]:
+                    builder.emit(kind, p)
+                    del strands[p]
+        elif kind == "delta_bb":
+            for p in reversed(range(len(strands))):
+                sources, targets = strands[p]
+                if len(targets) > 1:
+                    for _ in targets[1:]:
+                        builder.emit(kind, p)
+                    strands[p:p + 1] = [(sources, (j,)) for j in targets]
+        elif kind == "delta_dd":
+            for p in reversed(range(len(strands) - 1)):
+                if strands[p][1] == strands[p + 1][1]:
+                    builder.emit(kind, p)
+                    strands[p] = (strands[p][0] + strands[p + 1][0], strands[p][1])
+                    del strands[p + 1]
+        elif kind == "eps_dia":
+            present = {j for _, targets in strands for j in targets}
+            below = len(strands)
+            for q in reversed(range(d.tgt_len)):
+                if q in present:
+                    continue
+                while below and strands[below - 1][1] > (q,):
+                    below -= 1
+                builder.emit(kind, below)
+                strands.insert(below, ((), (q,)))
         else:
-            _check(allow_merge, f"target {j} has several sources")
-            _check(all(letter_at(src, i) == DIA for i in fiber)
-                   and letter_at(tgt, j) == DIA,
-                   f"merged strands at target {j} must all be diamonds")
-    builder = _Builder(src)
-    strands = list(values)  # bottom-up: target of each current strand
-    while True:
-        merge_at = [p for p in range(len(strands) - 1)
-                    if strands[p] == strands[p + 1]]
-        if not merge_at:
-            break
-        p = merge_at[-1]
-        builder.merge(p)
-        del strands[p + 1]
-    present = set(strands)
-    for q in range(d.tgt_len - 1, -1, -1):
-        if q in present:
-            continue
-        pos = sum(1 for j in strands if j < q)
-        builder.insert_dia(pos)
-        strands.insert(pos, q)
-    assert builder.word == tgt, (builder.word, tgt)
-    return builder.factors
-
-
-def _synth_perm_stage(builder: _Builder, strands: list, order_key) -> None:
-    """Bubble the strand list into ascending order_key order, emitting one
-    adjacent swap per inversion, highest position first."""
-    while True:
-        swap_at = [p for p in range(len(strands) - 1)
-                   if order_key(strands[p]) > order_key(strands[p + 1])]
-        if not swap_at:
-            return
-        p = swap_at[-1]
-        builder.swap(p)
-        strands[p], strands[p + 1] = strands[p + 1], strands[p]
-
-
-def _synth_function_dia(d: dg.RelDiagram) -> list[Factor]:
-    """Swap, merge, insert synthesis for graphs of arbitrary total maps (the
-    diamond fragment with permutations)."""
-    src, tgt = _require_words(d)
-    by_src, by_tgt = _fanouts(d)
-    values = []
-    for i in range(d.src_len):
-        _check(len(by_src[i]) == 1, f"source {i} must have exactly one target")
-        values.append(by_src[i][0])
-    for j in range(d.tgt_len):
-        fiber = by_tgt[j]
-        if not fiber:
-            _check(letter_at(tgt, j) == DIA,
-                   f"unlinked target {j} must be a diamond")
-        elif len(fiber) == 1:
-            _check(letter_at(src, fiber[0]) == letter_at(tgt, j),
-                   f"link ({fiber[0]},{j}) changes the operator")
-        else:
-            _check(all(letter_at(src, i) == DIA for i in fiber)
-                   and letter_at(tgt, j) == DIA,
-                   f"merged strands at target {j} must all be diamonds")
-    for i in range(d.src_len):
-        for i2 in range(i + 1, d.src_len):
-            if values[i] > values[i2]:  # crossing strands
-                _check(letter_at(src, i) == DIA and letter_at(src, i2) == DIA,
-                       f"crossing strands {i},{i2} must both be diamonds")
-    builder = _Builder(src)
-    strands = [(values[i], i) for i in range(d.src_len)]
-    _synth_perm_stage(builder, strands, lambda s: s)
-    targets = [j for j, _ in strands]
-    rest = _synth_monotone(
-        dg.rel(d.src_len, d.tgt_len, ((p, j) for p, j in enumerate(targets)),
-               builder.word, tgt),
-        allow_merge=True, allow_insert=True)
-    return builder.factors + rest
-
-
-def _synth_deletion_stage(builder: _Builder, src: str,
-                          linked: list[int], letter: str) -> None:
-    unlinked = [i for i in range(len(src)) if i not in set(linked)]
-    for p in sorted(unlinked, reverse=True):
-        _check(letter_at(src, p) == letter,
-               f"unlinked source {p} must be {letter!r}")
-        if letter == BOX:
-            builder.delete_box(p)
-        else:
-            raise SynthesisError("only box strands can be deleted")
-
-
-def _synth_injection_box(d: dg.RelDiagram) -> list[Factor]:
-    """Delete-then-permute synthesis when the converse is an arbitrary
-    injection (box fragment with permutations, no duplication)."""
-    src, tgt = _require_words(d)
-    by_src, by_tgt = _fanouts(d)
-    source_of = []
-    for j in range(d.tgt_len):
-        _check(len(by_tgt[j]) == 1, f"target {j} must have exactly one source")
-        source_of.append(by_tgt[j][0])
-    _check(len(set(source_of)) == len(source_of), "converse must be injective")
-    for j, i in enumerate(source_of):
-        _check(letter_at(src, i) == letter_at(tgt, j),
-               f"link ({i},{j}) changes the operator")
-    for j in range(d.tgt_len):
-        for j2 in range(j + 1, d.tgt_len):
-            if source_of[j] > source_of[j2]:
-                _check(letter_at(tgt, j) == BOX and letter_at(tgt, j2) == BOX,
-                       f"crossing strands to {j},{j2} must both be boxes")
-    builder = _Builder(src)
-    linked = sorted(source_of)
-    _synth_deletion_stage(builder, src, linked, BOX)
-    # Strand at position p descends from source linked[p]; sort by target.
-    target_of = {i: j for j, i in enumerate(source_of)}
-    strands = [target_of[i] for i in linked]
-    _synth_perm_stage(builder, strands, lambda s: s)
-    assert builder.word == tgt, (builder.word, tgt)
-    return builder.factors
-
-
-def _synth_dup_stage(builder: _Builder, strands: list, fanout: dict) -> list:
-    """Duplicate each box strand to its fanout, top first; strand entries are
-    source indices, and the result lists (source, copy rank) bottom-up."""
-    expanded = []
-    for p in range(len(strands) - 1, -1, -1):
-        i = strands[p]
-        for _ in range(fanout[i] - 1):
-            builder.dup_box(p)
-    for i in strands:
-        expanded.extend((i, r) for r in range(fanout[i]))
-    return expanded
-
-
-def _synth_surjection_box(d: dg.RelDiagram, deletions: bool) -> list[Factor]:
-    """Duplicate-then-permute synthesis when the converse is an arbitrary
-    surjection onto the linked sources (box fragment with permutations)."""
-    src, tgt = _require_words(d)
-    by_src, by_tgt = _fanouts(d)
-    source_of = []
-    for j in range(d.tgt_len):
-        _check(len(by_tgt[j]) == 1, f"target {j} must have exactly one source")
-        source_of.append(by_tgt[j][0])
-    linked = sorted({i for i in range(d.src_len) if by_src[i]})
-    if not deletions:
-        _check(len(linked) == d.src_len, "converse must be surjective")
-    for j, i in enumerate(source_of):
-        _check(letter_at(src, i) == letter_at(tgt, j),
-               f"link ({i},{j}) changes the operator")
-        if len(by_src[i]) > 1:
-            _check(letter_at(src, i) == BOX,
-                   f"duplicated source {i} must be a box")
-    for j in range(d.tgt_len):
-        for j2 in range(j + 1, d.tgt_len):
-            if source_of[j] > source_of[j2]:
-                _check(letter_at(tgt, j) == BOX and letter_at(tgt, j2) == BOX,
-                       f"crossing strands to {j},{j2} must both be boxes")
-    builder = _Builder(src)
-    _synth_deletion_stage(builder, src, linked, BOX)
-    fanout = {i: len(by_src[i]) for i in linked}
-    copies = _synth_dup_stage(builder, list(linked), fanout)
-    # Copy r of source i serves the r-th smallest target of i.
-    strand_targets = [sorted(by_src[i])[r] for i, r in copies]
-    _synth_perm_stage(builder, strand_targets, lambda s: s)
-    assert builder.word == tgt, (builder.word, tgt)
-    return builder.factors
-
-
-def _synth_blocks_boxdia(d: dg.RelDiagram) -> list[Factor]:
-    """Four-stage synthesis (delete, merge, duplicate, insert) for the
-    box/diamond theory without permutations."""
-    src, tgt = _require_words(d)
-    by_src, by_tgt = _fanouts(d)
-    # Union-find the link graph into blocks.
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
-    for i, j in d.pairs:
-        a, b = find(("s", i)), find(("t", j))
-        if a != b:
-            parent[a] = b
-    blocks: dict = {}
-    for i, j in d.pairs:
-        blocks.setdefault(find(("s", i)), [set(), set()])
-        blocks[find(("s", i))][0].add(i)
-        blocks[find(("t", j))][1].add(j)
-    block_list = sorted(([sorted(ss), sorted(ts)] for ss, ts in blocks.values()))
-    linked_src = [i for i in range(d.src_len) if by_src[i]]
-    linked_tgt = [j for j in range(d.tgt_len) if by_tgt[j]]
-    for i in range(d.src_len):
-        if not by_src[i]:
-            _check(letter_at(src, i) == BOX, f"unlinked source {i} must be a box")
-    for j in range(d.tgt_len):
-        if not by_tgt[j]:
-            _check(letter_at(tgt, j) == DIA, f"unlinked target {j} must be a diamond")
-    # Blocks must be complete, one-sided fans, ordered and contiguous.
-    pos_s = {i: p for p, i in enumerate(linked_src)}
-    pos_t = {j: p for p, j in enumerate(linked_tgt)}
-    seen_s = seen_t = 0
-    for sources, targets in block_list:
-        _check(len(sources) == 1 or len(targets) == 1,
-               "a block must be a one-sided fan")
-        _check(all((i, j) in d.pairs for i in sources for j in targets),
-               "a block must be complete")
-        _check([pos_s[i] for i in sources] ==
-               list(range(seen_s, seen_s + len(sources))),
-               "block sources must be contiguous among linked sources")
-        _check([pos_t[j] for j in targets] ==
-               list(range(seen_t, seen_t + len(targets))),
-               "block targets must be contiguous among linked targets")
-        seen_s += len(sources)
-        seen_t += len(targets)
-        s_letters = {letter_at(src, i) for i in sources}
-        t_letters = {letter_at(tgt, j) for j in targets}
-        if len(sources) > 1:
-            _check(s_letters == {DIA} and t_letters == {DIA},
-                   "a merge block must be all diamonds")
-        elif len(targets) > 1:
-            _check(s_letters == {BOX} and t_letters == {BOX},
-                   "a duplication block must be all boxes")
-        else:
-            _check(s_letters == t_letters, "a link must preserve the operator")
-    builder = _Builder(src)
-    _synth_deletion_stage(builder, src, linked_src, BOX)
-    strands = [min(by_src[i]) for i in linked_src]  # representative target
-    while True:
-        merge_at = [p for p in range(len(strands) - 1)
-                    if strands[p] == strands[p + 1]]
-        if not merge_at:
-            break
-        p = merge_at[-1]
-        builder.merge(p)
-        del strands[p + 1]
-    # One strand per block now; duplicate the fan-out blocks.
-    fanout = {min(ts): len(ts) for _, ts in block_list}
-    for p in range(len(strands) - 1, -1, -1):
-        for _ in range(fanout[strands[p]] - 1):
-            builder.dup_box(p)
-    strand_targets = [j for _, ts in block_list for j in ts]
-    present = set(strand_targets)
-    for q in range(d.tgt_len - 1, -1, -1):
-        if q in present:
-            continue
-        pos = sum(1 for j in strand_targets if j < q)
-        builder.insert_dia(pos)
-        strand_targets.insert(pos, q)
-    assert builder.word == tgt, (builder.word, tgt)
-    return builder.factors
-
-
-def _synth_s42(d: dg.RelDiagram) -> list[Factor]:
-    """Box stage, diamond-past-box permutation stage, diamond stage."""
-    src, tgt = _require_words(d)
-    by_src, by_tgt = _fanouts(d)
-    edges = sorted(d.pairs)
-    for i in range(d.src_len):
-        if not by_src[i]:
-            _check(letter_at(src, i) == BOX, f"unlinked source {i} must be a box")
-    for j in range(d.tgt_len):
-        if not by_tgt[j]:
-            _check(letter_at(tgt, j) == DIA, f"unlinked target {j} must be a diamond")
-    for i, j in edges:
-        _check(letter_at(src, i) == letter_at(tgt, j),
-               f"link ({i},{j}) changes the operator")
-        if len(by_src[i]) > 1:
-            _check(letter_at(src, i) == BOX, f"duplicated source {i} must be a box")
-        if len(by_tgt[j]) > 1:
-            _check(letter_at(tgt, j) == DIA, f"merged target {j} must be a diamond")
-
-    def letter(edge):
-        return letter_at(src, edge[0])
-
-    def c1_key(edge):
-        return (edge[0], edge[1])
-
-    def c2_key(edge):
-        return (edge[1], edge[0])
-
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            e, e2 = edges[a], edges[b]
-            lo, hi = sorted([e, e2], key=c1_key)
-            if letter(e) == letter(e2):
-                _check((c2_key(lo) < c2_key(hi)),
-                       f"same-operator strands {e},{e2} may not cross")
-            elif letter(lo) == DIA and c2_key(lo) > c2_key(hi):
-                raise SynthesisError(
-                    f"diamond strand {lo} cannot rise past box strand {hi}")
-    builder = _Builder(src)
-    linked = sorted({i for i, _ in edges})
-    _synth_deletion_stage(builder, src, linked, BOX)
-    fanout = {i: len(by_src[i]) for i in linked}
-    copies = _synth_dup_stage(builder, list(linked), fanout)
-    strand_edges = [(i, sorted(by_src[i])[r]) for i, r in copies]
-    _synth_perm_stage(builder, strand_edges, c2_key)
-    strands = [j for _, j in strand_edges]
-    while True:
-        merge_at = [p for p in range(len(strands) - 1)
-                    if strands[p] == strands[p + 1]]
-        if not merge_at:
-            break
-        p = merge_at[-1]
-        builder.merge(p)
-        del strands[p + 1]
-    present = set(strands)
-    for q in range(d.tgt_len - 1, -1, -1):
-        if q in present:
-            continue
-        pos = sum(1 for j in strands if j < q)
-        builder.insert_dia(pos)
-        strands.insert(pos, q)
-    assert builder.word == tgt, (builder.word, tgt)
-    return builder.factors
-
-
-def _synth_boxdia_chi(d: dg.RelDiagram) -> list[Factor]:
-    """Box stage with box swaps, then diamond stage with diamond swaps."""
-    src, tgt = _require_words(d)
-    by_src, by_tgt = _fanouts(d)
-    edges = sorted(d.pairs)
-    for i in range(d.src_len):
-        if not by_src[i]:
-            _check(letter_at(src, i) == BOX, f"unlinked source {i} must be a box")
-    for j in range(d.tgt_len):
-        if not by_tgt[j]:
-            _check(letter_at(tgt, j) == DIA, f"unlinked target {j} must be a diamond")
-    for i, j in edges:
-        _check(letter_at(src, i) == letter_at(tgt, j),
-               f"link ({i},{j}) changes the operator")
-        if len(by_src[i]) > 1:
-            _check(letter_at(src, i) == BOX, f"duplicated source {i} must be a box")
-        if len(by_tgt[j]) > 1:
-            _check(letter_at(tgt, j) == DIA, f"merged target {j} must be a diamond")
-
-    def letter(edge):
-        return letter_at(src, edge[0])
-
-    # Mixed-operator strands keep their relative order throughout.
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            e, e2 = edges[a], edges[b]
-            if letter(e) != letter(e2):
-                _check((e[0] < e2[0]) == (e[1] < e2[1]) or e[0] == e2[0]
-                       or e[1] == e2[1],
-                       f"mixed strands {e},{e2} may not cross")
-    builder = _Builder(src)
-    linked = sorted({i for i, _ in edges})
-    _synth_deletion_stage(builder, src, linked, BOX)
-    fanout = {i: len(by_src[i]) for i in linked}
-    copies = _synth_dup_stage(builder, list(linked), fanout)
-    strand_edges = [(i, sorted(by_src[i])[r]) for i, r in copies]
-
-    # Box swaps may only reorder boxes within runs not separated by diamonds;
-    # the mixed-order check above guarantees the needed swaps stay in-run.
-    while True:
-        swap_at = [
-            p for p in range(len(strand_edges) - 1)
-            if letter(strand_edges[p]) == BOX and letter(strand_edges[p + 1]) == BOX
-            and (strand_edges[p][1], strand_edges[p][0])
-            > (strand_edges[p + 1][1], strand_edges[p + 1][0])
-        ]
-        if not swap_at:
-            break
-        p = swap_at[-1]
-        builder.swap(p)
-        strand_edges[p], strand_edges[p + 1] = strand_edges[p + 1], strand_edges[p]
-    while True:
-        swap_at = [
-            p for p in range(len(strand_edges) - 1)
-            if letter(strand_edges[p]) == DIA and letter(strand_edges[p + 1]) == DIA
-            and (strand_edges[p][1], strand_edges[p][0])
-            > (strand_edges[p + 1][1], strand_edges[p + 1][0])
-        ]
-        if not swap_at:
-            break
-        p = swap_at[-1]
-        builder.swap(p)
-        strand_edges[p], strand_edges[p + 1] = strand_edges[p + 1], strand_edges[p]
-    order = [(j, i) for i, j in strand_edges]
-    _check(order == sorted(order), "strands remain crossed after both swap stages")
-    strands = [j for _, j in strand_edges]
-    while True:
-        merge_at = [p for p in range(len(strands) - 1)
-                    if strands[p] == strands[p + 1]]
-        if not merge_at:
-            break
-        p = merge_at[-1]
-        builder.merge(p)
-        del strands[p + 1]
-    present = set(strands)
-    for q in range(d.tgt_len - 1, -1, -1):
-        if q in present:
-            continue
-        pos = sum(1 for j in strands if j < q)
-        builder.insert_dia(pos)
-        strands.insert(pos, q)
-    assert builder.word == tgt, (builder.word, tgt)
+            p = len(strands) - 2
+            while p >= 0:
+                lower, upper = strands[p], strands[p + 1]
+                if ((lower[1], lower[0]) > (upper[1], upper[0]) and kind[4:] ==
+                        letter_at(builder.word, p + 1) + letter_at(builder.word, p)):
+                    builder.emit(kind, p)
+                    strands[p], strands[p + 1] = upper, lower
+                    p = min(p + 1, len(strands) - 2)
+                else:
+                    p -= 1
+    if ([targets for _, targets in strands] != [(j,) for j in range(d.tgt_len)]
+            or builder.word != tgt):
+        raise SynthesisError(f"the stages of {theory.id} do not reach the diagram")
     return builder.factors
 
 
@@ -609,7 +205,7 @@ def _synth_reduce_stage(d: dg.SplitEq) -> list[Factor]:
         for side, i in cls:
             if side == "s":
                 class_of[i] = num
-    builder = _Builder(src)
+    builder = _Builder(get_theory("s5"), src)
     strands = [class_of[i] for i in range(d.src_len)]
     remaining = {num: strands.count(num) for num in set(strands)}
     while True:
@@ -625,12 +221,14 @@ def _synth_reduce_stage(d: dg.SplitEq) -> list[Factor]:
             break
         if best_cup >= best_kill:
             p = best_cup
-            builder.merge(p)
+            # Joins strand p+1 (a diamond) down into strand p.
+            builder.emit("delta_dd" if letter_at(builder.word, p) == DIA
+                         else "delta_db", p)
             remaining[strands[p]] -= 1
             del strands[p + 1]
         else:
             p = best_kill
-            builder.delete_box(p)
+            builder.emit("eps_box", p)
             remaining[strands[p]] -= 1
             del strands[p]
     produced = [target_of[num] for num in strands]
@@ -683,26 +281,9 @@ def _synth_s5(d: dg.SplitEq) -> list[Factor]:
     d2 = dg.spliteq(len(both), d.tgt_len, stage2_classes, mid_word, tgt)
     dual_term = factors_to_term(swap_word(tgt),
                                 _synth_reduce_stage(_dualized(d2)))
-    stage2 = dualize(dual_term)
-    from .terms import term_factors
-
-    _, stage2_factors = term_factors(stage2)
+    _, stage2_factors = term_factors(dualize(dual_term))
     return factors + stage2_factors
 
-
-_SYNTH_DISPATCH = {
-    "t_dia": lambda d: _synth_monotone(d, allow_merge=False, allow_insert=True),
-    "k4_dia": lambda d: _synth_monotone(d, allow_merge=True, allow_insert=False),
-    "s4_dia": lambda d: _synth_monotone(d, allow_merge=True, allow_insert=True),
-    "s4_dia_chi": _synth_function_dia,
-    "s_chi": _synth_injection_box,
-    "splus_chi_op": lambda d: _synth_surjection_box(d, deletions=False),
-    "s4_box_chi": lambda d: _synth_surjection_box(d, deletions=True),
-    "s4_boxdia": _synth_blocks_boxdia,
-    "s42": _synth_s42,
-    "s4_boxdia_chi": _synth_boxdia_chi,
-    "s5": _synth_s5,
-}
 
 _SYNTH_BY_DUAL = {"t_box": "t_dia", "k4_box": "k4_dia", "s4_box": "s4_dia"}
 
@@ -716,13 +297,17 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
     """
     theory = get_theory(theory)
     src, tgt = _require_words(d)
+    if isinstance(d, dg.SplitEq) != (theory.target == GEN):
+        raise SynthesisError(
+            f"theory {theory.id} has no {type(d).__name__} diagrams")
     if theory.id in _SYNTH_BY_DUAL:
         term = dualize(synthesize(_SYNTH_BY_DUAL[theory.id], _dualized(d)))
     elif theory.id == "fives":
         term = mirror_term(synthesize("s5", dg.mirror(d)), source="s5")
-    elif theory.id in _SYNTH_DISPATCH:
-        factors = _SYNTH_DISPATCH[theory.id](d)
-        term = factors_to_term(src, factors)
+    elif theory.id == "s5":
+        term = factors_to_term(src, _synth_s5(d))
+    elif theory.id in SYNTHESIS_THEORIES:
+        term = factors_to_term(src, _synth_staged(theory, d))
     else:
         raise SynthesisError(f"no synthesis procedure for theory {theory.id}")
     image = interp(theory, term)
@@ -755,6 +340,8 @@ def realizable(theory: "Theory | str", d: dg.Diagram,
     theory = get_theory(theory)
     _require_words(d)
     if theory.id in ("s5", "fives"):
+        if not isinstance(d, dg.SplitEq):
+            return False
         dd = d if theory.id == "s5" else dg.mirror(d)
         return bool(dg.is_noncrossing(dd) and _s5_shapes_ok(dd))
     if theory.id in SYNTHESIS_THEORIES:
@@ -841,8 +428,6 @@ def _enum_spliteq(theory: Theory, src: str, tgt: str) -> list[dg.SplitEq]:
 
 
 def _enum_rel_structural(theory: Theory, src: str, tgt: str) -> Optional[list[dg.RelDiagram]]:
-    import itertools
-
     m, n = len(src), len(tgt)
     if theory.id in ("s4_dia", "t_dia", "k4_dia", "s4_dia_chi"):
         if theory.id == "s4_dia":
@@ -972,8 +557,6 @@ def mirror_term(term: ArrowTerm, source: str = "s5") -> ArrowTerm:
                 out = App(op, out)
             return out
         if isinstance(t, App):
-            from .terms import append_context
-
             return append_context(walk(t.body), t.op)
         return Comp(walk(t.outer), walk(t.inner))
 

@@ -29,7 +29,7 @@ from .terms import (
     factors_to_term,
     term_factors,
 )
-from .theories import Theory, get_theory, typecheck
+from .theories import STAGE_NUMBERS, Theory, get_theory, typecheck
 
 DEFAULT_DEPTH = 12
 _DEPTH_ENV = "MODALCOHERENCE_DEPTH"
@@ -214,39 +214,11 @@ _NATURALITIES = {
     "nat_sigma_bd", "nat_sigma_dd",
 }
 
-# Application stages per theory: lower stages apply earlier (more to the
-# right of the composite) in the staged normal forms.
-STAGES: dict[str, dict[str, int]] = {
-    "t_box": {"eps_box": 1},
-    "t_dia": {"eps_dia": 1},
-    "k4_box": {"delta_bb": 1},
-    "k4_dia": {"delta_dd": 1},
-    "t_boxdia": {"eps_box": 1, "eps_dia": 2},
-    "k4_boxdia": {"delta_dd": 1, "delta_bb": 2},
-    "s4_box": {"eps_box": 1, "delta_bb": 2},
-    "s4_dia": {"delta_dd": 1, "eps_dia": 2},
-    "s4_boxdia": {"eps_box": 1, "delta_dd": 2, "delta_bb": 3, "eps_dia": 4},
-    "s_chi": {"eps_box": 1, "chi_bb": 2},
-    "splus_chi_op": {"delta_bb": 1, "chi_bb": 2},
-    "s4_box_chi": {"eps_box": 1, "delta_bb": 2, "chi_bb": 3},
-    "s4_dia_chi": {"chi_dd": 1, "delta_dd": 2, "eps_dia": 3},
-    "s4_boxdia_chi": {"eps_box": 1, "delta_bb": 2, "chi_bb": 3,
-                      "chi_dd": 4, "delta_dd": 5, "eps_dia": 6},
-    "s42": {"eps_box": 1, "delta_bb": 2, "chi_db": 3, "delta_dd": 4,
-            "eps_dia": 5},
-    "s41": {"eps_box": 1, "delta_bb": 2, "chi_bd": 3, "delta_dd": 4,
-            "eps_dia": 5},
-    "s42_iso": {"eps_box": 1, "delta_bb": 2, "chi_db": 3, "chi_bd": 3,
-                "delta_dd": 4, "eps_dia": 5},
-    "s5": {"eps_box": 1, "delta_db": 1, "delta_dd": 1,
-           "eps_dia": 2, "delta_bb": 2, "delta_bd": 2},
-    "fives": {"eps_box": 1, "sigma_bd": 1, "sigma_dd": 1,
-              "eps_dia": 2, "sigma_bb": 2, "sigma_db": 2},
-}
 
-
+# Lower stages apply earlier (more to the right of the composite) in the
+# staged normal forms.
 def _stage(theory: Theory, kind: str) -> int:
-    table = STAGES.get(theory.base.id if theory.quotient else theory.id, {})
+    table = STAGE_NUMBERS.get(theory.base.id if theory.quotient else theory.id, {})
     return table.get(kind, 0)
 
 

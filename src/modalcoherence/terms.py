@@ -23,9 +23,6 @@ BOX = "b"
 DIA = "d"
 LETTERS = (BOX, DIA)
 
-PRETTY = {BOX: "□", DIA: "◇"}
-
-
 class TermError(Exception):
     """Base class for errors raised by this package."""
 
@@ -48,10 +45,6 @@ def check_word(word: str) -> str:
 
 def word_to_str(word: str) -> str:
     return word if word else "e"
-
-
-def pretty_word(word: str) -> str:
-    return "".join(PRETTY[c] for c in word) if word else "∅"
 
 
 def swap_word(word: str) -> str:

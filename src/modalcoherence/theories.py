@@ -189,6 +189,40 @@ def _theories() -> dict[str, Theory]:
 
 REGISTRY: dict[str, Theory] = _theories()
 
+# The stages of each theory's staged normal form, earliest applied first; a
+# stage names one generator kind, or several kinds that share the stage.
+# Relational synthesis (decide) runs these stages in this order, and directed
+# rewriting (rewrite) sorts adjacent factors by stage number.
+STAGES: dict[str, tuple[str, ...]] = {
+    "t_box": ("eps_box",),
+    "t_dia": ("eps_dia",),
+    "k4_box": ("delta_bb",),
+    "k4_dia": ("delta_dd",),
+    "t_boxdia": ("eps_box", "eps_dia"),
+    "k4_boxdia": ("delta_dd", "delta_bb"),
+    "s4_box": ("eps_box", "delta_bb"),
+    "s4_dia": ("delta_dd", "eps_dia"),
+    "s4_boxdia": ("eps_box", "delta_dd", "delta_bb", "eps_dia"),
+    "s_chi": ("eps_box", "chi_bb"),
+    "splus_chi_op": ("delta_bb", "chi_bb"),
+    "s4_box_chi": ("eps_box", "delta_bb", "chi_bb"),
+    "s4_dia_chi": ("chi_dd", "delta_dd", "eps_dia"),
+    "s4_boxdia_chi": ("eps_box", "delta_bb", "chi_bb", "chi_dd", "delta_dd",
+                      "eps_dia"),
+    "s42": ("eps_box", "delta_bb", "chi_db", "delta_dd", "eps_dia"),
+    "s41": ("eps_box", "delta_bb", "chi_bd", "delta_dd", "eps_dia"),
+    "s42_iso": ("eps_box", "delta_bb", "chi_db chi_bd", "delta_dd", "eps_dia"),
+    # Kill/cup, then birth/cap.
+    "s5": ("eps_box delta_db delta_dd", "eps_dia delta_bb delta_bd"),
+    "fives": ("eps_box sigma_bd sigma_dd", "eps_dia sigma_bb sigma_db"),
+}
+
+# Generator kind -> stage number (from 1) for each theory in STAGES.
+STAGE_NUMBERS: dict[str, dict[str, int]] = {
+    tid: {kind: n for n, stage in enumerate(stages, 1) for kind in stage.split()}
+    for tid, stages in STAGES.items()
+}
+
 # Theories whose opposite is again a registered theory (self-dual entries map
 # to themselves).  Used by dualize checks.
 DUAL_THEORY = {
@@ -238,25 +272,6 @@ def raw_splus() -> Theory:
         index_constraint=lambda w: len(w) >= 1,
         index_constraint_name="nonempty index",
     )
-
-
-def raw_splus_chi_op(restrict_chi: bool = False) -> Theory:
-    """Duplication-with-permutation over nonempty indices.
-
-    ``restrict_chi`` also forbids the permutation generator at the empty
-    index; by default it is admitted.
-    """
-    if restrict_chi:
-        constraint = lambda w: len(w) >= 1  # noqa: E731
-        name = "nonempty index (incl. chi)"
-    else:
-        constraint = None
-        name = None
-    base = REGISTRY["splus_chi_op"]
-    if constraint is None:
-        return base
-    return replace(base, id="splus_chi_op_raw",
-                   index_constraint=constraint, index_constraint_name=name)
 
 
 def applicable_factors(theory: "Theory | str", word: str) -> list["Factor"]:

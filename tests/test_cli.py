@@ -2,7 +2,8 @@
 
 import json
 
-from modalcoherence.cli import DOMAIN_ERROR, USAGE_ERROR, run
+from modalcoherence import cli
+from modalcoherence.cli import DOMAIN_ERROR, INTERNAL_ERROR, USAGE_ERROR, run
 
 
 def invoke(capsys, *argv):
@@ -138,3 +139,15 @@ def test_usage_and_domain_errors(capsys):
     code, _, err = invoke(capsys, "interp", "--theory", "s5",
                           "--functor", "eps", "id{b}")
     assert code == DOMAIN_ERROR
+
+
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    # An unexpected exception must not exit 1, which eq reports as "not equal".
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "decide_equal", broken)
+    code, out, err = invoke(capsys, "eq", "--theory", "s5", "id{b}", "id{b}")
+    assert code == INTERNAL_ERROR == 70
+    assert out == ""
+    assert err.strip() == "internal error: RuntimeError: boom"

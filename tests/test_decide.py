@@ -40,6 +40,9 @@ def test_realizable_examples():
     assert not realizable("s5", dg.spliteq(0, 1, [[T(0)]], "", "b"))
     # A diamond-headed singleton target is fine.
     assert realizable("s5", dg.spliteq(0, 1, [[T(0)]], "", "d"))
+    # A relation is never the image of a split-equivalence theory.
+    assert not realizable("s5", dg.rel_identity(1, "d"))
+    assert not realizable("fives", dg.rel_identity(1, "d"))
 
 
 def test_realizable_needs_words():
@@ -64,6 +67,10 @@ def test_synthesize_rejects_unrealizable():
     with pytest.raises(SynthesisError):
         synthesize("s5", dg.spliteq(2, 2, [[S(0), T(1)], [S(1), T(0)]],
                                     "dd", "dd"))
+    with pytest.raises(SynthesisError):
+        synthesize("s4_dia", dg.spliteq(1, 1, [[S(0), T(0)]], "d", "d"))
+    with pytest.raises(SynthesisError):
+        synthesize("s5", dg.rel_identity(1, "d"))
 
 
 def test_synthesis_round_trip_random():

@@ -5,6 +5,7 @@ from modalcoherence.theories import (
     GEN,
     REGISTRY,
     REL,
+    STAGES,
     applicable_factors,
     enumerate_factor_terms,
     get_theory,
@@ -80,3 +81,12 @@ def test_enumerate_factor_terms_counts():
     # identity, two single deletions, two two-step deletions
     assert len(terms) == 5
     assert [len(t) for t in terms].count(0) == 1
+
+
+def test_stages_partition_the_generators():
+    # Each staged theory names every one of its generators in exactly one
+    # stage, so synthesis never emits a generator the theory lacks.
+    for tid, stages in STAGES.items():
+        kinds = [kind for stage in stages for kind in stage.split()]
+        assert len(kinds) == len(set(kinds)), tid
+        assert set(kinds) == get_theory(tid).generators, tid
