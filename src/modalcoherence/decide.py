@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional
 
 from . import diagram as dg
-from .interp import interp
+from .interp import STD, factor_image, interp
 from .terms import (
     ArrowTerm,
     App,
@@ -281,7 +281,7 @@ def _synth_s5(d: dg.SplitEq) -> list[Factor]:
     d2 = dg.spliteq(len(both), d.tgt_len, stage2_classes, mid_word, tgt)
     dual_term = factors_to_term(swap_word(tgt),
                                 _synth_reduce_stage(_dualized(d2)))
-    _, stage2_factors = term_factors(dualize(dual_term))
+    _, _, stage2_factors = term_factors(dualize(dual_term))
     return factors + stage2_factors
 
 
@@ -508,7 +508,7 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
                 new_word = factor.tgt
                 if len(new_word) > max_len:
                     continue
-                step = interp(base, factor.to_term())
+                step = factor_image(base.target, STD, factor)
                 new_diag = dg.compose(step, diag)
                 key = (new_word, new_diag.key())
                 if key in states:
@@ -561,6 +561,13 @@ def mirror_term(term: ArrowTerm, source: str = "s5") -> ArrowTerm:
         return Comp(walk(t.outer), walk(t.inner))
 
     return walk(term)
+
+
+def mirror_factor(factor: Factor, source: str = "s5") -> Factor:
+    """The factor :func:`mirror_term` makes of a factor: its prefix and index
+    exchange places, each reversed."""
+    table = _MIRROR_FROM_S5 if source == "s5" else _MIRROR_FROM_FIVES
+    return Factor(factor.index[::-1], table[factor.kind], factor.prefix[::-1])
 
 
 # ---------------------------------------------------------------------------

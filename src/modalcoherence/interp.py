@@ -17,15 +17,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import diagram as dg
-from .terms import (
-    App,
-    ArrowTerm,
-    Gen,
-    Id,
-    TermError,
-    word_to_str,
+from .terms import ArrowTerm, Factor, TermError, word_to_str
+from .theories import (
+    GEN,
+    REL,
+    SHARP,
+    TRIV,
+    Theory,
+    get_theory,
+    typecheck,
+    typed_factors,
 )
-from .theories import REL, SHARP, TRIV, Theory, get_theory, typecheck
 
 STD = "std"
 EPS = "eps"
@@ -43,9 +45,6 @@ VARIANTS = (STD, EPS, DELTA, DUAL, SHARP_VARIANT)
 _EPS_OK = {"k", "t_box", "t_dia", "k4_box", "k4_dia", "t_boxdia"}
 _DELTA_OK = {"k", "t_box", "t_dia", "k4_box", "k4_dia", "k4_boxdia"}
 _DUAL_OK = {"s5", "fives"}
-
-_CAP_KINDS = {"delta_bb", "delta_bd", "sigma_bb", "sigma_db"}
-_CUP_KINDS = {"delta_dd", "delta_db", "sigma_dd", "sigma_bd"}
 
 
 class VariantError(TermError):
@@ -78,140 +77,108 @@ def check_variant(theory: Theory, variant: str) -> None:
     raise VariantError(f"unknown functor variant {variant!r}")
 
 
-def _rel_clause(variant: str, kind: str, n: int) -> dg.RelDiagram:
-    ident = [(i, i) for i in range(n)]
-    if kind == "eps_box":
-        if variant == DELTA:
-            pairs = ident + ([(n, n - 1)] if n >= 1 else [])
-        else:
-            pairs = ident
-        return dg.rel(n + 1, n, pairs)
-    if kind == "eps_dia":
-        if variant == DELTA:
-            pairs = ident + ([(n - 1, n)] if n >= 1 else [])
-        else:
-            pairs = ident
-        return dg.rel(n, n + 1, pairs)
-    if kind == "delta_bb":
-        pairs = ident + [(n, n)]
-        if variant != EPS:
-            pairs.append((n, n + 1))
-        return dg.rel(n + 1, n + 2, pairs)
-    if kind == "delta_dd":
-        pairs = ident + [(n, n)]
-        if variant != EPS:
-            pairs.append((n + 1, n))
-        return dg.rel(n + 2, n + 1, pairs)
-    if kind.startswith("chi_"):
-        pairs = ident + [(n, n + 1), (n + 1, n)]
-        return dg.rel(n + 2, n + 2, pairs)
-    raise VariantError(f"no relational clause for generator {kind}")
+# Per-factor clauses as data.  A generator kind maps to (s, t, links): the
+# generator spans s source and t target strands above the n strands of its
+# index word, which pass straight through, and each link is written with
+# offsets from n.  A relational link is a (source, target) pair; a link that
+# falls below strand 0 is left out.  A split-equivalence link is a partition
+# class of ("s", offset) and ("t", offset) elements.
+_CHI = (2, 2, ((0, 1), (1, 0)))
+_REL_STD = {
+    "eps_box": (1, 0, ()),
+    "eps_dia": (0, 1, ()),
+    "delta_bb": (1, 2, ((0, 0), (0, 1))),
+    "delta_dd": (2, 1, ((0, 0), (1, 0))),
+    "chi_bb": _CHI, "chi_dd": _CHI, "chi_db": _CHI, "chi_bd": _CHI,
+}
+_CAP = (1, 2, ((("s", 0), ("t", 0), ("t", 1)),))
+_CUP = (2, 1, ((("s", 0), ("s", 1), ("t", 0)),))
+_DUAL_CAP = (2, 3, ((("s", 0), ("t", 0)), (("t", 1),), (("s", 1), ("t", 2))))
+_DUAL_CUP = (3, 2, ((("s", 0), ("t", 0)), (("s", 1),), (("s", 2), ("t", 1))))
 
-
-def _straights(n: int) -> list[list[dg.Elem]]:
-    return [[("s", i), ("t", i)] for i in range(n)]
-
-
-def _gen_clause(kind: str, n: int) -> dg.SplitEq:
-    if kind == "eps_box":
-        return dg.spliteq(n + 1, n, _straights(n) + [[("s", n)]])
-    if kind == "eps_dia":
-        return dg.spliteq(n, n + 1, _straights(n) + [[("t", n)]])
-    if kind in _CAP_KINDS:
-        cap = [("s", n), ("t", n), ("t", n + 1)]
-        return dg.spliteq(n + 1, n + 2, _straights(n) + [cap])
-    if kind in _CUP_KINDS:
-        cup = [("s", n), ("s", n + 1), ("t", n)]
-        return dg.spliteq(n + 2, n + 1, _straights(n) + [cup])
-    raise VariantError(f"no split-equivalence clause for generator {kind}")
-
-
-def _dual_clause(kind: str, n: int) -> dg.SplitEq:
+# (target category, variant) -> generator kind -> clause.
+_CLAUSES = {
+    (REL, STD): _REL_STD,
+    # The counit-only functor drops the duplication link; the
+    # comultiplication-only functor adds a diagonal to the counit.
+    (REL, EPS): {**_REL_STD, "delta_bb": (1, 2, ((0, 0),)),
+                 "delta_dd": (2, 1, ((0, 0),))},
+    (REL, DELTA): {**_REL_STD, "eps_box": (1, 0, ((0, -1),)),
+                   "eps_dia": (0, 1, ((-1, 0),))},
+    (GEN, STD): {
+        "eps_box": (1, 0, ((("s", 0),),)), "eps_dia": (0, 1, ((("t", 0),),)),
+        "delta_bb": _CAP, "delta_bd": _CAP, "sigma_bb": _CAP, "sigma_db": _CAP,
+        "delta_dd": _CUP, "delta_db": _CUP, "sigma_dd": _CUP, "sigma_bd": _CUP,
+    },
     # Counit and comultiplication exchange shapes; objects gain one strand.
-    if kind == "eps_box":
-        return _gen_clause("delta_dd", n)
-    if kind == "eps_dia":
-        return _gen_clause("delta_bb", n)
-    if kind in ("delta_bb", "delta_bd"):
-        classes = _straights(n + 1) + [[("t", n + 1)], [("s", n + 1), ("t", n + 2)]]
-        return dg.spliteq(n + 2, n + 3, classes)
-    if kind in ("delta_dd", "delta_db"):
-        classes = _straights(n + 1) + [[("s", n + 1)], [("s", n + 2), ("t", n + 1)]]
-        return dg.spliteq(n + 3, n + 2, classes)
-    raise VariantError(f"no dual clause for generator {kind}")
+    (GEN, DUAL): {"eps_box": _CUP, "eps_dia": _CAP,
+                  "delta_bb": _DUAL_CAP, "delta_bd": _DUAL_CAP,
+                  "delta_dd": _DUAL_CUP, "delta_db": _DUAL_CUP},
+}
 
 
-def _with_labels(d: dg.Diagram, src: Optional[str], tgt: Optional[str]) -> dg.Diagram:
-    if isinstance(d, dg.RelDiagram):
-        return dg.RelDiagram(d.src_len, d.tgt_len, d.pairs, src, tgt)
-    return dg.SplitEq(d.src_len, d.tgt_len, d.classes, src, tgt)
+def factor_image(target: str, variant: str, factor: Factor) -> dg.Diagram:
+    """Image of one factor: its generator's clause above the strands of its
+    index word, widened by one through-strand per operator of its prefix.
+    The diagram carries the factor's words, except under the dual functor."""
+    try:
+        s, t, links = _CLAUSES[target, variant][factor.kind]
+    except KeyError:
+        raise VariantError(
+            f"no {variant} clause for generator {factor.kind}") from None
+    n, depth = len(factor.index), len(factor.prefix)
+    words = (None, None) if variant == DUAL else (factor.src, factor.tgt)
+    # Through-strands: one per index letter below the clause, one per prefix
+    # operator above it.
+    strands = [*zip(range(n), range(n)),
+               *zip(range(n + s, n + s + depth), range(n + t, n + t + depth))]
+    if target == REL:
+        pairs = [(n + i, n + j) for i, j in links if min(i, j) + n >= 0]
+        return dg.rel(n + s + depth, n + t + depth, pairs + strands, *words)
+    classes = [[(side, n + k) for side, k in cls] for cls in links]
+    classes += [(("s", i), ("t", j)) for i, j in strands]
+    return dg.spliteq(n + s + depth, n + t + depth, classes, *words)
 
 
-def _app_extend(d: dg.Diagram) -> dg.Diagram:
-    """Clause for an operator application: one new top strand joining the new
-    source element to the new target element."""
-    if isinstance(d, dg.RelDiagram):
-        pairs = set(d.pairs)
-        pairs.add((d.src_len, d.tgt_len))
-        return dg.rel(d.src_len + 1, d.tgt_len + 1, pairs)
-    classes = [list(cls) for cls in d.classes]
-    classes.append([("s", d.src_len), ("t", d.tgt_len)])
-    return dg.spliteq(d.src_len + 1, d.tgt_len + 1, classes)
+def fold(target: str, variant: str, src: str,
+         factors: list[Factor]) -> dg.Diagram:
+    """Composite of the factors' images, in application order; the identity
+    on ``src`` when there are no factors."""
+    if not factors:
+        if variant == DUAL:
+            return dg.identity_diagram(target, len(src) + 1)
+        return dg.identity_diagram(target, len(src), src)
+    compose = dg.rel_compose if target == REL else dg.spliteq_compose
+    image = factor_image(target, variant, factors[0])
+    for factor in factors[1:]:
+        image = compose(factor_image(target, variant, factor), image)
+    return image
 
 
-def _eval_rel(term: ArrowTerm, variant: str) -> dg.RelDiagram:
-    if isinstance(term, Id):
-        return dg.rel_identity(len(term.word))
-    if isinstance(term, Gen):
-        return _rel_clause(variant, term.kind, len(term.index))
-    if isinstance(term, App):
-        return _app_extend(_eval_rel(term.body, variant))
-    return dg.rel_compose(_eval_rel(term.outer, variant),
-                          _eval_rel(term.inner, variant))
+def _image(theory: Theory, variant: str, src: str, tgt: str,
+           factors: list[Factor]) -> dg.Diagram:
+    if variant == SHARP_VARIANT or (variant == STD and theory.quotient == SHARP):
+        from .quotient import sharp_image
 
+        return sharp_image(theory, src, tgt, factors)
+    if variant == DUAL and theory.id == "fives":
+        from .decide import mirror_factor
 
-def _eval_gen(term: ArrowTerm) -> dg.SplitEq:
-    if isinstance(term, Id):
-        return dg.spliteq_identity(len(term.word))
-    if isinstance(term, Gen):
-        return _gen_clause(term.kind, len(term.index))
-    if isinstance(term, App):
-        return _app_extend(_eval_gen(term.body))
-    return dg.spliteq_compose(_eval_gen(term.outer), _eval_gen(term.inner))
-
-
-def _eval_dual(term: ArrowTerm) -> dg.SplitEq:
-    if isinstance(term, Id):
-        return dg.spliteq_identity(len(term.word) + 1)
-    if isinstance(term, Gen):
-        return _dual_clause(term.kind, len(term.index))
-    if isinstance(term, App):
-        return _app_extend(_eval_dual(term.body))
-    return dg.spliteq_compose(_eval_dual(term.outer), _eval_dual(term.inner))
+        mirrored = [mirror_factor(f, source="fives") for f in factors]
+        return dg.mirror(fold(GEN, DUAL, src[::-1], mirrored))
+    return fold(theory.target, variant, src, factors)
 
 
 def interp(theory: "Theory | str", term: ArrowTerm, variant: str = STD) -> dg.Diagram:
-    """Image of a well-typed term under the requested coherence functor.
+    """Image of a well-typed term under the requested coherence functor: the
+    composite of its factors' images, folded along one walk of the term.
 
     The diagram carries the term's source and target words as labels, except
     under the dual functor, whose boundary ordinals exceed the word lengths.
     """
     theory = get_theory(theory)
     check_variant(theory, variant)
-    src, tgt = typecheck(term, theory)
-    if variant == SHARP_VARIANT or (variant == STD and theory.quotient == SHARP):
-        from .quotient import interp_sharp
-
-        return interp_sharp(theory, term)
-    if variant == DUAL:
-        if theory.id == "fives":
-            from .decide import mirror_term
-
-            return dg.mirror(_eval_dual(mirror_term(term, source="fives")))
-        return _eval_dual(term)
-    if theory.target == REL:
-        return _with_labels(_eval_rel(term, variant), src, tgt)
-    return _with_labels(_eval_gen(term), src, tgt)
+    return _image(theory, variant, *typed_factors(term, theory))
 
 
 EQUAL = "equal"
@@ -335,13 +302,14 @@ def decide_equal(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm) -> Equality
     type.
     """
     theory = get_theory(theory)
-    ftype = typecheck(f, theory)
-    gtype = typecheck(g, theory)
+    fsrc, ftgt, ffactors = typed_factors(f, theory)
+    gsrc, gtgt, gfactors = typed_factors(g, theory)
+    ftype, gtype = (fsrc, ftgt), (gsrc, gtgt)
     if ftype != gtype:
         return EqualityResult(TYPE_MISMATCH, ftype, gtype)
     if theory.quotient == TRIV:
         return EqualityResult(EQUAL, ftype, gtype)
-    df = interp(theory, f)
-    dgm = interp(theory, g)
+    df = _image(theory, STD, fsrc, ftgt, ffactors)
+    dgm = _image(theory, STD, gsrc, gtgt, gfactors)
     verdict = EQUAL if df.same_as(dgm) else NOT_EQUAL
     return EqualityResult(verdict, ftype, gtype, df, dgm)

@@ -20,14 +20,16 @@ from .terms import (
     ArrowTerm,
     BOX,
     Comp,
+    Factor,
     Gen,
     Id,
     TermError,
     check_word,
+    term_factors,
     term_type,
     word_to_str,
 )
-from .theories import SHARP, get_theory, typecheck
+from .theories import SHARP, Theory, get_theory, typecheck, typed_factors
 
 
 def sharp(word: str) -> str:
@@ -73,19 +75,22 @@ def j_inv(word: str) -> ArrowTerm:
 def interp_sharp(theory: "Theory | str", term: ArrowTerm) -> dg.RelDiagram:
     """Image under the conjugated functor: collapse both endpoints with the
     canonical isomorphisms, then interpret in the base theory."""
-    from .interp import interp
-
     theory = get_theory(theory)
     if theory.quotient != SHARP:
         raise TermError(f"theory {theory.id} is not a sharp quotient")
-    base = theory.base
-    src, tgt = typecheck(term, base)
-    conjugated: ArrowTerm = term
-    if src:
-        conjugated = Comp(conjugated, j_inv(src))
+    return sharp_image(theory, *typed_factors(term, theory.base))
+
+
+def sharp_image(theory: Theory, src: str, tgt: str,
+                factors: list[Factor]) -> dg.RelDiagram:
+    """:func:`interp_sharp` of a typed factor list."""
+    from .interp import STD, fold
+
+    conjugated = term_factors(j_inv(src))[2] if src else []
+    conjugated += factors
     if tgt:
-        conjugated = Comp(j_arrow(tgt), conjugated)
-    image = interp(base, conjugated)
+        conjugated += term_factors(j_arrow(tgt))[2]
+    image = fold(theory.base.target, STD, sharp(src), conjugated)
     return dg.RelDiagram(image.src_len, image.tgt_len, image.pairs,
                          sharp(src), sharp(tgt))
 

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .interp import interp
+from .interp import STD, fold, interp
 from .schemas import EquationSchema, build_side, get_schema, match_side
 from .terms import (
     ArrowTerm,
@@ -29,7 +29,7 @@ from .terms import (
     factors_to_term,
     term_factors,
 )
-from .theories import STAGE_NUMBERS, Theory, get_theory, typecheck
+from .theories import STAGE_NUMBERS, Theory, get_theory, typed_factors
 
 DEFAULT_DEPTH = 12
 _DEPTH_ENV = "MODALCOHERENCE_DEPTH"
@@ -46,7 +46,7 @@ def search_depth(depth: Optional[int] = None) -> int:
 
 def develop(term: ArrowTerm) -> ArrowTerm:
     """Flatten a term into a composite of single-generator factors."""
-    src, factors = term_factors(term)
+    src, _, factors = term_factors(term)
     return factors_to_term(src, factors)
 
 
@@ -324,8 +324,7 @@ def normalize(theory: "Theory | str", term: ArrowTerm) -> ArrowTerm:
     equality class.
     """
     theory = get_theory(theory)
-    typecheck(term, theory)
-    src, factors = term_factors(term)
+    src, _, factors = typed_factors(term, theory)
     if theory.id in _REWRITE_NF:
         nf, _steps = directed_normalize(theory, src, tuple(factors))
         return factors_to_term(src, list(nf))
@@ -374,17 +373,15 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
     if theory.quotient is not None:
         raise TermError("proof search applies to the unquotiented theories")
     depth = search_depth(depth)
-    ftype = typecheck(f, theory)
-    gtype = typecheck(g, theory)
-    if ftype != gtype:
+    src, ftgt, sf = typed_factors(f, theory)
+    gsrc, gtgt, sg = typed_factors(g, theory)
+    if (src, ftgt) != (gsrc, gtgt):
         raise TermError("proof search needs terms of the same type")
-    src = ftype[0]
-    sf = tuple(term_factors(f)[1])
-    sg = tuple(term_factors(g)[1])
+    sf, sg = tuple(sf), tuple(sg)
     if sf == sg:
         return ProofResult(True)
-    image = interp(theory, f)
-    if not image.same_as(interp(theory, g)):
+    image = fold(theory.target, STD, src, list(sf))
+    if not image.same_as(fold(theory.target, STD, src, list(sg))):
         return ProofResult(False)
 
     def guard(candidate: tuple[Factor, ...]) -> None:

@@ -134,57 +134,21 @@ class Comp:
     def __str__(self) -> str:
         # Composition chains print right-associated; a composite on the left
         # keeps its parentheses so printing round-trips to the same tree.
-        left = f"({self.outer})" if isinstance(self.outer, Comp) else str(self.outer)
-        return f"{left} . {self.inner}"
+        parts = []
+        term: ArrowTerm = self
+        while isinstance(term, Comp):
+            outer = term.outer
+            parts.append(f"({outer})" if isinstance(outer, Comp) else str(outer))
+            term = term.inner
+        parts.append(str(term))
+        return " . ".join(parts)
 
 
 ArrowTerm = Union[Id, Gen, App, Comp]
 
 
-def gen_type(kind: str, index: str) -> tuple[str, str]:
-    src_pre, tgt_pre = GENERATORS[kind]
-    return src_pre + index, tgt_pre + index
-
-
-def term_type(term: ArrowTerm) -> tuple[str, str]:
-    """Source and target word of a term; raises TypingError on a mismatch."""
-    if isinstance(term, Id):
-        return term.word, term.word
-    if isinstance(term, Gen):
-        if term.kind not in GENERATORS:
-            raise TypingError(f"unknown generator kind {term.kind!r}")
-        return gen_type(term.kind, term.index)
-    if isinstance(term, App):
-        src, tgt = term_type(term.body)
-        return term.op + src, term.op + tgt
-    if isinstance(term, Comp):
-        src_i, tgt_i = term_type(term.inner)
-        src_o, tgt_o = term_type(term.outer)
-        if tgt_i != src_o:
-            raise TypingError(
-                "composition mismatch: inner target "
-                f"{word_to_str(tgt_i)} != outer source {word_to_str(src_o)}"
-            )
-        return src_i, tgt_o
-    raise TermError(f"not an arrow term: {term!r}")
-
-
-def term_size(term: ArrowTerm) -> int:
-    """Number of generator occurrences."""
-    if isinstance(term, Id):
-        return 0
-    if isinstance(term, Gen):
-        return 1
-    if isinstance(term, App):
-        return term_size(term.body)
-    return term_size(term.outer) + term_size(term.inner)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
-
-
-_GEN_NAMES = set(GENERATORS)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -246,13 +210,14 @@ class _Parser:
         return tok
 
     def parse_term(self) -> ArrowTerm:
-        left = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok[0] == ".":
+        atoms = [self.parse_atom()]
+        while (tok := self.peek()) is not None and tok[0] == ".":
             self.next()
-            right = self.parse_term()  # '.' is right-associative
-            return Comp(left, right)
-        return left
+            atoms.append(self.parse_atom())
+        term = atoms.pop()
+        while atoms:  # '.' is right-associative
+            term = Comp(atoms.pop(), term)
+        return term
 
     def parse_atom(self) -> ArrowTerm:
         kind, value, pos = self.next()
@@ -275,7 +240,7 @@ class _Parser:
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])
             return App(BOX if value == "box" else DIA, body)
-        if value in _GEN_NAMES:
+        if value in GENERATORS:
             return Gen(value, _parse_mod(self.next()))
         raise ParseError(f"unknown generator name {value!r}", pos)
 
@@ -349,10 +314,6 @@ class Factor:
     def tgt(self) -> str:
         return self.prefix + GENERATORS[self.kind][1] + self.index
 
-    @property
-    def depth(self) -> int:
-        return len(self.prefix)
-
     def to_term(self) -> ArrowTerm:
         term: ArrowTerm = Gen(self.kind, self.index)
         for op in reversed(self.prefix):
@@ -360,25 +321,60 @@ class Factor:
         return term
 
 
-def term_factors(term: ArrowTerm) -> tuple[str, list[Factor]]:
-    """Decompose a term as (source word, factors in application order)."""
-    src, _ = term_type(term)
+def term_factors(term: ArrowTerm) -> tuple[str, str, list[Factor]]:
+    """Walk a term once, without recursion: its source word, its target word
+    and its factors in application order.
+
+    The walk checks every word and every composition.  A composite is
+    well-typed exactly when each leaf (a generator or an identity, under its
+    operator prefix) starts where the leaf applied before it ends, so the
+    leaves are compared in the order they apply.
+    """
     factors: list[Factor] = []
-
-    def walk(t: ArrowTerm, prefix: str) -> None:
-        if isinstance(t, Id):
-            return
-        if isinstance(t, Gen):
-            factors.append(Factor(prefix, t.kind, t.index))
-            return
+    src = tgt = None
+    stack: list[tuple[ArrowTerm, str]] = [(term, "")]
+    while stack:
+        t, prefix = stack.pop()
+        if isinstance(t, Comp):
+            stack.append((t.outer, prefix))
+            stack.append((t.inner, prefix))
+            continue
         if isinstance(t, App):
-            walk(t.body, prefix + t.op)
-            return
-        walk(t.inner, prefix)
-        walk(t.outer, prefix)
+            if t.op not in LETTERS:
+                raise TermError(f"bad operator {t.op!r}: must be 'b' or 'd'")
+            stack.append((t.body, prefix + t.op))
+            continue
+        if isinstance(t, Gen):
+            if t.kind not in GENERATORS:
+                raise TypingError(f"unknown generator kind {t.kind!r}")
+            src_pre, tgt_pre = GENERATORS[t.kind]
+            index = check_word(t.index)
+            leaf_src = prefix + src_pre + index
+            leaf_tgt = prefix + tgt_pre + index
+            factors.append(Factor(prefix, t.kind, index))
+        elif isinstance(t, Id):
+            leaf_src = leaf_tgt = prefix + check_word(t.word)
+        else:
+            raise TermError(f"not an arrow term: {t!r}")
+        if tgt is None:
+            src = leaf_src
+        elif tgt != leaf_src:
+            raise TypingError(
+                "composition mismatch: inner target "
+                f"{word_to_str(tgt)} != outer source {word_to_str(leaf_src)}")
+        tgt = leaf_tgt
+    return src, tgt, factors
 
-    walk(term, "")
-    return src, factors
+
+def term_type(term: ArrowTerm) -> tuple[str, str]:
+    """Source and target word of a term; raises TypingError on a mismatch."""
+    src, tgt, _ = term_factors(term)
+    return src, tgt
+
+
+def term_size(term: ArrowTerm) -> int:
+    """Number of generator occurrences."""
+    return len(term_factors(term)[2])
 
 
 def factors_to_term(src: str, factors: list[Factor]) -> ArrowTerm:

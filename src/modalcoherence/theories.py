@@ -12,14 +12,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .terms import (
+    GENERATORS,
     ArrowTerm,
-    App,
-    Comp,
-    Gen,
-    Id,
+    Factor,
     TypingError,
-    check_word,
-    term_type,
+    term_factors,
     word_to_str,
 )
 
@@ -274,11 +271,9 @@ def raw_splus() -> Theory:
     )
 
 
-def applicable_factors(theory: "Theory | str", word: str) -> list["Factor"]:
+def applicable_factors(theory: "Theory | str", word: str) -> list[Factor]:
     """Single generator factors of the theory whose source is ``word``,
     ordered by generator kind then application depth."""
-    from .terms import Factor, GENERATORS
-
     theory = get_theory(theory)
     out = []
     for kind in sorted(theory.generators):
@@ -312,29 +307,24 @@ def enumerate_factor_terms(theory: "Theory | str", src: str,
     return results
 
 
+def typed_factors(term: ArrowTerm, theory: "Theory | str",
+                  ) -> tuple[str, str, list[Factor]]:
+    """Walk a term once: its type and factors, with the theory's generator
+    and index discipline enforced on the factors."""
+    theory = get_theory(theory)
+    src, tgt, factors = term_factors(term)
+    for factor in factors:
+        if not theory.admits(factor.kind):
+            raise TheoryError(
+                f"generator {factor.kind} is not in theory {theory.id}")
+        if theory.index_constraint and not theory.index_constraint(factor.index):
+            raise TheoryError(
+                f"index {word_to_str(factor.index)!r} of {factor.kind} violates "
+                f"{theory.index_constraint_name} in {theory.id}")
+    return src, tgt, factors
+
+
 def typecheck(term: ArrowTerm, theory: "Theory | str") -> tuple[str, str]:
     """Type a term and enforce the theory's generator and index discipline."""
-    theory = get_theory(theory)
-
-    def check(t: ArrowTerm) -> None:
-        if isinstance(t, Id):
-            check_word(t.word)
-        elif isinstance(t, Gen):
-            check_word(t.index)
-            if not theory.admits(t.kind):
-                raise TheoryError(
-                    f"generator {t.kind} is not in theory {theory.id}")
-            if theory.index_constraint and not theory.index_constraint(t.index):
-                raise TheoryError(
-                    f"index {word_to_str(t.index)!r} of {t.kind} violates "
-                    f"{theory.index_constraint_name} in {theory.id}")
-        elif isinstance(t, App):
-            check(t.body)
-        elif isinstance(t, Comp):
-            check(t.outer)
-            check(t.inner)
-        else:
-            raise TypingError(f"not an arrow term: {t!r}")
-
-    check(term)
-    return term_type(term)
+    src, tgt, _ = typed_factors(term, theory)
+    return src, tgt

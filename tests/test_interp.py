@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from modalcoherence import cli
 from modalcoherence import diagram as dg
-from modalcoherence.decide import mirror_term, random_term
+from modalcoherence.decide import mirror_factor, mirror_term, random_term
 from modalcoherence.interp import (
     EQUAL,
     NOT_EQUAL,
@@ -15,8 +16,8 @@ from modalcoherence.interp import (
     decide_equal,
     interp,
 )
-from modalcoherence.terms import Gen, parse_term, term_type
-from modalcoherence.theories import REGISTRY
+from modalcoherence.terms import Gen, parse_term, term_factors, term_type
+from modalcoherence.theories import REGISTRY, typecheck
 
 
 def S(i):
@@ -154,16 +155,10 @@ def test_soundness_mutation_detects_broken_clause(monkeypatch):
     import importlib
 
     interp_mod = importlib.import_module("modalcoherence.interp")
-    original = interp_mod._rel_clause
-
-    def broken(variant, kind, n):
-        d = original(variant, kind, n)
-        if kind == "delta_bb":
-            return dg.rel(d.src_len, d.tgt_len,
-                          [p for p in d.pairs if p != (n, n + 1)])
-        return d
-
-    monkeypatch.setattr(interp_mod, "_rel_clause", broken)
+    clauses = interp_mod._CLAUSES["rel", "std"]
+    s, t, links = clauses["delta_bb"]
+    monkeypatch.setitem(clauses, "delta_bb",
+                        (s, t, tuple(p for p in links if p != (0, 1))))
     report = check_soundness("s4_box", idx_bound=2, f_bound=1)
     assert not report.passed
     assert any(f.schema_id in ("beta_bb", "eta_bb", "nat_delta_bb",
@@ -185,6 +180,30 @@ def test_decide_equal_verdicts():
                      parse_term("eps_dia{bd} . box(dia(eps_box{e}))"))
     assert r.verdict == NOT_EQUAL
     assert r.left_diagram is not None and r.right_diagram is not None
+
+
+def test_deep_chain_at_default_recursion_limit(capsys):
+    # 100,000 compositions: parsing, typing and the fold walk the chain in
+    # loops, so the default recursion limit suffices.
+    text = " . ".join(["eps_box{b} . delta_bb{e}"] * 50_000)
+    term = parse_term(text)
+    assert typecheck(term, "s4_box") == ("b", "b")
+    assert decide_equal("s4_box", term, parse_term("id{b}")).verdict == EQUAL
+    # Too long for an argv string, so the CLI runs in-process.
+    assert cli.run(["eq", "--theory", "s4_box", text, "id{b}"]) == 0
+    assert capsys.readouterr().out.strip() == "equal"
+
+
+def test_mirror_factor_matches_mirror_term():
+    rng = random.Random(61)
+    for source in ("s5", "fives"):
+        for _ in range(40):
+            t = random_term(source, rng.choice(["", "b", "d", "bd", "db"]),
+                            rng.randint(0, 6), rng)
+            src, tgt, factors = term_factors(t)
+            assert term_factors(mirror_term(t, source=source)) == (
+                src[::-1], tgt[::-1],
+                [mirror_factor(f, source=source) for f in factors])
 
 
 def test_noncrossing_images():

@@ -74,6 +74,15 @@ def test_normalize_sound_and_idempotent(tid):
         assert normalize(tid, nf) == nf
 
 
+def test_normalize_splus_chi_op_large_walk_regression():
+    # A 256-generator walk whose normal form has over 2,000 factors:
+    # verifying and printing it must not recurse once per composition.
+    term = random_term("splus_chi_op", "bbbb", 256, random.Random(2))
+    nf = normalize("splus_chi_op", term)
+    assert interp("splus_chi_op", nf).same_as(interp("splus_chi_op", term))
+    assert str(parse_term(str(nf))) == str(nf)
+
+
 def test_normalize_canonical_on_equality_classes():
     # Two terms are equal exactly when their normal forms coincide.
     rng = random.Random(41)
@@ -178,7 +187,7 @@ def test_derivation_steps_are_sound():
     rhs = parse_term("delta_bb{e} . delta_db{e}")
     result = prove_equal_bounded(theory, lhs, rhs)
     assert result.proved
-    src, factors = term_factors(lhs)
+    src, _, factors = term_factors(lhs)
     image = interp(theory, lhs)
     state = tuple(factors)
     for step in result.steps:
@@ -190,7 +199,7 @@ def test_derivation_steps_are_sound():
         assert successors, step
         state = successors[0]
         assert interp(theory, factors_to_term(src, list(state))).same_as(image)
-    assert state == tuple(term_factors(rhs)[1])
+    assert state == tuple(term_factors(rhs)[2])
 
 
 def test_directed_normalize_terminates_and_preserves_image():
@@ -199,7 +208,7 @@ def test_directed_normalize_terminates_and_preserves_image():
         for _ in range(40):
             src_word = rng.choice(["", "b", "d", "bd", "db"])
             t = random_term(tid, src_word, rng.randint(0, 5), rng)
-            src, factors = term_factors(t)
+            src, _, factors = term_factors(t)
             nf, steps = directed_normalize(tid, src, tuple(factors))
             out = factors_to_term(src, list(nf))
             assert bool(decide_equal(tid, out, t))

@@ -177,7 +177,7 @@ def test_embedding_round_trip_others():
 def _factors(t):
     from modalcoherence.terms import term_factors
 
-    return term_factors(t)[1]
+    return term_factors(t)[2]
 
 
 def test_embedding_functor_law():

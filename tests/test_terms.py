@@ -14,6 +14,7 @@ from modalcoherence.terms import (
     append_context,
     dualize,
     parse_term,
+    term_factors,
     term_size,
     term_to_str,
     term_type,
@@ -84,6 +85,21 @@ def test_typing_table():
     }
     for text, expected in cases.items():
         assert term_type(parse_term(text)) == expected, text
+
+
+def test_term_factors_on_any_tree_shape():
+    # Right- and left-nested composites and an operator over a composite
+    # have the same spine.
+    texts = ["box(eps_box{b}) . box(delta_bb{e}) . delta_bb{e}",
+             "(box(eps_box{b}) . box(delta_bb{e})) . delta_bb{e}",
+             "box(eps_box{b} . delta_bb{e}) . delta_bb{e}"]
+    spines = [term_factors(parse_term(text)) for text in texts]
+    assert spines[0] == spines[1] == spines[2]
+    assert spines[0][:2] == ("b", "bb")
+    assert [(f.prefix, f.kind) for f in spines[0][2]] == [
+        ("", "delta_bb"), ("b", "delta_bb"), ("b", "eps_box")]
+    with pytest.raises(TypingError):
+        term_factors(parse_term("box(eps_box{e} . id{d}) . delta_bb{e}"))
 
 
 def test_typecheck_against_theory():
