@@ -1,9 +1,12 @@
 """Batch command-line surface.
 
-Exit codes: 0 success (for ``eq``: the terms are equal), 1 domain verdict
-"no" (``eq`` inequality, failed check suite), 2 type mismatch for ``eq``,
-64 usage error, 65 domain error (bad input, ill-typed term, and so on), 70
-internal error (any other exception; never a verdict).
+Exit codes: 0 success (for ``eq``: the terms are equal; for ``prove``: a
+derivation was found), 1 domain verdict "no" (``eq`` and ``prove``:
+the terms are not equal; a failed check suite), 2 type mismatch for ``eq``,
+3 unknown (``prove``: no derivation within the budget, although the
+diagrams are equal), 64 usage error, 65 domain error (bad input, ill-typed
+term, and so on), 70 internal error (a proof-search guard failure or any
+other unexpected exception; never a verdict).
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from .decide import (
 )
 from .interp import VARIANTS, check_soundness, decide_equal, interp
 from .quotient import skeleton
-from .rewrite import confluence_check, normalize, prove_equal_bounded, search_depth
+from .rewrite import (
+    SoundnessViolation,
+    confluence_check,
+    normalize,
+    prove_equal_bounded,
+    search_depth,
+)
 from .simplicial import (
     embed_function,
     embed_injection,
@@ -34,6 +43,7 @@ from .simplicial import (
 from .terms import TermError, parse_term, term_to_str, term_type, word_to_str
 from .theories import REGISTRY, get_theory, typecheck
 
+UNKNOWN = 3
 USAGE_ERROR = 64
 DOMAIN_ERROR = 65
 INTERNAL_ERROR = 70
@@ -159,8 +169,11 @@ def _cmd_prove(args) -> int:
         print(f"Proved in {len(result.steps)} steps")
         print(result.to_json())
         return 0
+    if result.refuted:
+        print("not equal")
+        return 1
     print("Unknown")
-    return 1
+    return UNKNOWN
 
 
 def _cmd_hom(args) -> int:
@@ -268,12 +281,15 @@ def run(argv: list[str]) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
+    except SoundnessViolation as exc:  # a library fault, not bad input
+        error = exc
     except (TermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        error = exc
+    print(f"internal error: {type(error).__name__}: {error}", file=sys.stderr)
+    return INTERNAL_ERROR
 
 
 def main() -> None:

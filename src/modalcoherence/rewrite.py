@@ -18,18 +18,25 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .interp import STD, fold, interp
-from .schemas import EquationSchema, build_side, get_schema, match_side
+from .schemas import SCHEMAS, GenPat, Side, build_side, get_schema, match_side
 from .terms import (
     ArrowTerm,
     Factor,
     TermError,
+    chain_target,
     factors_to_term,
     term_factors,
 )
-from .theories import STAGE_NUMBERS, Theory, get_theory, typed_factors
+from .theories import (
+    STAGE_NUMBERS,
+    Theory,
+    check_admitted,
+    get_theory,
+    typed_factors,
+)
 
 DEFAULT_DEPTH = 12
 _DEPTH_ENV = "MODALCOHERENCE_DEPTH"
@@ -117,32 +124,69 @@ def _apply_prefix(factors: list[Factor], prefix: str) -> list[Factor]:
     return [Factor(prefix + f.prefix, f.kind, f.index) for f in factors]
 
 
-def _segment_rewrites(schema: EquationSchema, direction: str,
-                      factors: tuple[Factor, ...],
-                      words: list[str]) -> Iterator[tuple[tuple[Factor, ...], Step]]:
+class _Matcher(NamedTuple):
+    """One schema in one direction, compiled for anchored matching.
+
+    The anchor is the first generator pattern of the from-side, at
+    ``offset`` into it.  A match at position i needs factor i + offset to
+    have the anchor's kind and a prefix ending in the anchor's prefix, and
+    the rest of that prefix is the one strip depth that can match.  A
+    from-side without factors (inserting an identity expansion) has no
+    anchor; its ``kind`` is empty.
+    """
+    schema_id: str
+    direction: str
+    frm: Side
+    to: Side
+    identity_word: Optional[tuple[str, str]]
+    offset: int = 0
+    kind: str = ""
+    prefix: str = ""
+
+
+def _compile(schema_id: str, direction: str) -> _Matcher:
+    schema = SCHEMAS[schema_id]
     frm, to = (schema.lhs, schema.rhs) if direction == "lr" else (schema.rhs, schema.lhs)
+    if not frm:
+        return _Matcher(schema_id, direction, frm, to, schema.identity_word)
+    offset = next(j for j, pat in enumerate(frm) if isinstance(pat, GenPat))
+    return _Matcher(schema_id, direction, frm, to, None, offset,
+                    frm[offset].kind, frm[offset].prefix)
+
+
+_MATCHERS: dict[tuple[str, str], _Matcher] = {
+    (sid, direction): _compile(sid, direction)
+    for sid, schema in SCHEMAS.items() if schema.pattern_based
+    for direction in ("lr", "rl")
+}
+
+
+def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
+                      words: list[str]) -> Iterator[tuple[tuple[Factor, ...], Step]]:
+    to = m.to
     n = len(factors)
-    if frm:
-        L = len(frm)
+    if m.frm:
+        L, j, kind, anchor = len(m.frm), m.offset, m.kind, m.prefix
         for i in range(n - L + 1):
+            f = factors[i + j]
+            if f.kind != kind or not f.prefix.endswith(anchor):
+                continue
+            s = len(f.prefix) - len(anchor)
             segment = list(factors[i:i + L])
-            max_strip = min(len(f.prefix) for f in segment)
-            for s in range(max_strip + 1):
-                stripped = _strip(segment, s)
-                if stripped is None:
-                    continue
-                bindings = match_side(frm, stripped)
-                if bindings is None:
-                    continue
-                prefix = segment[0].prefix[:s]
-                new_segment = _apply_prefix(build_side(to, bindings), prefix)
-                new_factors = factors[:i] + tuple(new_segment) + factors[i + L:]
-                yield new_factors, Step(schema.id, direction, i, s, L,
-                                        len(new_segment),
-                                        _describe_bindings(bindings))
+            stripped = _strip(segment, s)
+            if stripped is None:
+                continue
+            bindings = match_side(m.frm, stripped)
+            if bindings is None:
+                continue
+            new_segment = _apply_prefix(build_side(to, bindings), f.prefix[:s])
+            new_factors = factors[:i] + tuple(new_segment) + factors[i + L:]
+            yield new_factors, Step(m.schema_id, m.direction, i, s, L,
+                                    len(new_segment),
+                                    _describe_bindings(bindings))
     else:
         # Inserting an expansion of the identity at a boundary.
-        pre, var = schema.identity_word
+        pre, var = m.identity_word
         for i in range(n + 1):
             word = words[i]
             for s in range(len(word) + 1):
@@ -152,7 +196,7 @@ def _segment_rewrites(schema: EquationSchema, direction: str,
                 bindings = {var: rest[len(pre):]}
                 new_segment = _apply_prefix(build_side(to, bindings), word[:s])
                 new_factors = factors[:i] + tuple(new_segment) + factors[i:]
-                yield new_factors, Step(schema.id, direction, i, s, 0,
+                yield new_factors, Step(m.schema_id, m.direction, i, s, 0,
                                         len(new_segment),
                                         _describe_bindings(bindings))
 
@@ -164,11 +208,12 @@ def rewrites(theory: Theory, src: str, factors: tuple[Factor, ...],
     """All one-step rewrites of a spine by the theory's schemas."""
     words = _boundary_words(src, factors)
     for schema_id in (schema_ids if schema_ids is not None else theory.equations):
-        schema = get_schema(schema_id)
-        if not schema.pattern_based:
-            continue
+        if schema_id not in SCHEMAS:
+            get_schema(schema_id)  # raises the unknown-schema error
         for direction in directions:
-            yield from _segment_rewrites(schema, direction, factors, words)
+            m = _MATCHERS.get((schema_id, direction))
+            if m is not None:  # instance-only schemas have no matcher
+                yield from _segment_rewrites(m, factors, words)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +260,6 @@ _NATURALITIES = {
 }
 
 
-# Lower stages apply earlier (more to the right of the composite) in the
-# staged normal forms.
-def _stage(theory: Theory, kind: str) -> int:
-    table = STAGE_NUMBERS.get(theory.base.id if theory.quotient else theory.id, {})
-    return table.get(kind, 0)
-
-
 # Generators whose target word is longer than their source word.
 _EXPANDING = {"eps_dia", "delta_bb", "delta_bd", "sigma_bb", "sigma_db"}
 _NEUTRAL = {"chi_bb", "chi_dd", "chi_db", "chi_bd"}
@@ -238,6 +276,27 @@ def _sort_key(factor: Factor) -> tuple[int, int]:
     return (len(factor.index), -len(factor.prefix))
 
 
+# Per theory: the shrinkers and stage-fixers in priority order, the
+# naturalities in the order the sort tries them, and the stage number of each
+# generator kind (lower stages apply earlier, more to the right of the
+# composite, in the staged normal forms).
+_TABLES: dict[Theory, tuple[tuple[_Matcher, ...], tuple[_Matcher, ...], dict]] = {}
+
+
+def _tables(theory: Theory):
+    tables = _TABLES.get(theory)
+    if tables is None:
+        available = set(theory.equations)
+        oriented = tuple(_MATCHERS[sid, d] for table in (_SHRINKERS, _STAGE_FIXERS)
+                         for sid, d in table.items() if sid in available)
+        nats = tuple(_MATCHERS[sid, d] for sid in _NATURALITIES
+                     if sid in available for d in ("lr", "rl"))
+        stages = STAGE_NUMBERS.get(
+            theory.base.id if theory.quotient else theory.id, {})
+        tables = _TABLES[theory] = (oriented, nats, stages)
+    return tables
+
+
 def directed_normalize(theory: "Theory | str", src: str,
                        factors: tuple[Factor, ...],
                        max_steps: int = 400,
@@ -248,59 +307,56 @@ def directed_normalize(theory: "Theory | str", src: str,
     rewrite of the input (every step is an equation of the theory) but is
     canonical only for the base single-generator theories.
     """
-    theory = get_theory(theory)
-    available = set(theory.equations)
-    shrinkers = tuple((sid, d) for sid, d in _SHRINKERS.items() if sid in available)
-    fixers = tuple((sid, d) for sid, d in _STAGE_FIXERS.items() if sid in available)
-    nats = tuple(sid for sid in _NATURALITIES if sid in available)
+    oriented, naturalities, stage = _tables(get_theory(theory))
     steps: list[Step] = []
-    seen = {(src, factors)}
+    seen = {factors}
     current = factors
     for _ in range(max_steps):
-        changed = False
-        for sid, direction in shrinkers + fixers:
-            found = next(rewrites(theory, src, current, (direction,), (sid,)), None)
-            if found is not None and (src, found[0]) not in seen:
-                current, step = found
-                steps.append(step)
-                seen.add((src, current))
-                changed = True
-                break
-        if changed:
+        words = _boundary_words(src, current)
+        kinds = {f.kind for f in current}
+        step = None
+        for m in oriented:
+            if m.kind in kinds:
+                found = next(_segment_rewrites(m, current, words), None)
+                if found is not None and found[0] not in seen:
+                    current, step = found
+                    break
+        if step is not None:
+            steps.append(step)
+            seen.add(current)
             continue
         # Adjacent naturality sort: move earlier-stage factors right.
+        changed = False
         for i in range(len(current) - 1):
             inner, outer = current[i], current[i + 1]
-            si, so = _stage(theory, inner.kind), _stage(theory, outer.kind)
+            si, so = stage.get(inner.kind, 0), stage.get(outer.kind, 0)
             if si > so or (si == so and _sort_key(inner) <= _sort_key(outer)):
+                pair = current[i:i + 2]
                 wanted = None
-                for sid in nats:
-                    for direction in ("lr", "rl"):
-                        for new_factors, step in _segment_rewrites(
-                                get_schema(sid), direction,
-                                current[i:i + 2],
-                                _boundary_words(inner.src, current[i:i + 2])):
-                            ni, no = new_factors
-                            nsi, nso = _stage(theory, ni.kind), _stage(theory, no.kind)
-                            if nsi > nso:
-                                continue
-                            if nsi == nso and not (_sort_key(ni) > _sort_key(no)):
-                                continue
-                            wanted = (new_factors, step)
-                            break
-                        if wanted:
-                            break
+                for m in naturalities:
+                    anchor = pair[m.offset]
+                    if anchor.kind != m.kind or not anchor.prefix.endswith(m.prefix):
+                        continue
+                    for new_pair, step in _segment_rewrites(m, pair, words[i:i + 3]):
+                        ni, no = new_pair
+                        nsi, nso = stage.get(ni.kind, 0), stage.get(no.kind, 0)
+                        if nsi > nso:
+                            continue
+                        if nsi == nso and not (_sort_key(ni) > _sort_key(no)):
+                            continue
+                        wanted = (new_pair, step)
+                        break
                     if wanted:
                         break
                 if wanted:
                     new_pair, step = wanted
                     candidate = current[:i] + new_pair + current[i + 2:]
-                    if (src, candidate) not in seen:
+                    if candidate not in seen:
                         current = candidate
                         steps.append(Step(step.schema_id, step.direction,
                                           i + step.position, step.strip,
                                           step.replaced, step.inserted))
-                        seen.add((src, current))
+                        seen.add(current)
                         changed = True
                         break
         if not changed:
@@ -343,6 +399,9 @@ def normalize(theory: "Theory | str", term: ArrowTerm) -> ArrowTerm:
 class ProofResult:
     proved: bool
     steps: tuple[Step, ...] = ()
+    # The two terms have different diagrams, so they are not equal.  A
+    # result that is neither proved nor refuted is unknown.
+    refuted: bool = False
 
     def __bool__(self) -> bool:
         return self.proved
@@ -354,8 +413,13 @@ class ProofResult:
 
 
 class SoundnessViolation(TermError):
-    """A rewrite step changed the interpretation; the schema registry or the
-    matcher is broken."""
+    """A rewrite step produced an ill-typed term or changed the
+    interpretation; the schema registry or the matcher is broken.  The
+    offending factor list is kept as ``candidate``."""
+
+    def __init__(self, message: str, candidate: tuple[Factor, ...] = ()):
+        super().__init__(message)
+        self.candidate = candidate
 
 
 def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
@@ -366,8 +430,9 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
     Bidirectional breadth-bounded search over single schema applications (in
     both directions, at any position, under any operator prefix), seeded by
     the greedy directed strategy.  The total number of schema steps in a
-    returned derivation is at most the depth budget.  ``Unknown`` (a falsy
-    result) never means inequality.
+    returned derivation is at most the depth budget.  A falsy result is
+    ``refuted`` when the two diagrams differ, which proves the terms unequal;
+    otherwise it is unknown, which never means inequality.
     """
     theory = get_theory(theory)
     if theory.quotient is not None:
@@ -382,12 +447,30 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
         return ProofResult(True)
     image = fold(theory.target, STD, src, list(sf))
     if not image.same_as(fold(theory.target, STD, src, list(sg))):
-        return ProofResult(False)
+        return ProofResult(False, refuted=True)
+
+    # Every state the search reaches is checked as typed_factors and interp
+    # check a term, on its factors: its words and its composition chain
+    # from src to the common target, admission, the index constraint, and
+    # then its image.  The two inputs passed these checks above.
+    checked = {sf, sg}
 
     def guard(candidate: tuple[Factor, ...]) -> None:
-        if not interp(theory, factors_to_term(src, list(candidate))).same_as(image):
+        if candidate in checked:
+            return
+        try:
+            tgt = chain_target(src, candidate)
+            check_admitted(theory, candidate)
+        except TermError as exc:
             raise SoundnessViolation(
-                f"rewriting broke the interpretation at {candidate}")
+                f"rewriting produced an ill-typed term at {candidate}: {exc}",
+                candidate) from exc
+        if tgt != ftgt or not fold(theory.target, STD, src,
+                                   list(candidate)).same_as(image):
+            raise SoundnessViolation(
+                f"rewriting broke the interpretation at {candidate}",
+                candidate)
+        checked.add(candidate)
 
     def splice(forward: tuple[Step, ...], backward: tuple[Step, ...],
                ) -> Optional[ProofResult]:

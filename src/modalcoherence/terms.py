@@ -17,7 +17,7 @@ term has a unique source and target word, computed by :func:`term_type`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Optional, Union
 
 BOX = "b"
 DIA = "d"
@@ -122,8 +122,13 @@ class App:
     body: "ArrowTerm"
 
     def __str__(self) -> str:
-        name = "box" if self.op == BOX else "dia"
-        return f"{name}({self.body})"
+        # A stack of applications prints in a loop.
+        names = []
+        term: ArrowTerm = self
+        while isinstance(term, App):
+            names.append("box" if term.op == BOX else "dia")
+            term = term.body
+        return "(".join(names) + f"({term}" + ")" * len(names)
 
 
 @dataclass(frozen=True)
@@ -210,36 +215,49 @@ class _Parser:
         return tok
 
     def parse_term(self) -> ArrowTerm:
-        atoms = [self.parse_atom()]
-        while (tok := self.peek()) is not None and tok[0] == ".":
-            self.next()
-            atoms.append(self.parse_atom())
-        term = atoms.pop()
-        while atoms:  # '.' is right-associative
-            term = Comp(atoms.pop(), term)
-        return term
+        """Parse a '.' chain.  The chains still open inside parentheses and
+        operator applications are kept on an explicit stack, so the nesting
+        depth is not bounded by the recursion limit."""
+        # (wrapper, atoms) per open chain: the wrapper is None for the whole
+        # input, "" inside parentheses and the operator letter inside
+        # box(...) or dia(...).
+        chains: list[tuple[Optional[str], list[ArrowTerm]]] = [(None, [])]
+        while True:
+            kind, value, pos = self.next()
+            if kind == "(":
+                chains.append(("", []))
+                continue
+            if kind == "name" and value in ("box", "dia"):
+                opening = self.next()
+                if opening[0] != "(":
+                    raise ParseError(f"expected '(' after {value}", opening[2])
+                chains.append((BOX if value == "box" else DIA, []))
+                continue
+            term = self.parse_leaf(kind, value, pos)
+            while True:
+                wrapper, atoms = chains[-1]
+                atoms.append(term)
+                tok = self.peek()
+                if tok is not None and tok[0] == ".":
+                    self.next()
+                    break
+                term = atoms.pop()
+                while atoms:  # '.' is right-associative
+                    term = Comp(atoms.pop(), term)
+                if wrapper is None:
+                    return term
+                chains.pop()
+                closing = self.next()
+                if closing[0] != ")":
+                    raise ParseError("expected ')'", closing[2])
+                if wrapper:
+                    term = App(wrapper, term)
 
-    def parse_atom(self) -> ArrowTerm:
-        kind, value, pos = self.next()
-        if kind == "(":
-            inner = self.parse_term()
-            closing = self.next()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
-            return inner
+    def parse_leaf(self, kind: str, value: str, pos: int) -> ArrowTerm:
         if kind != "name":
             raise ParseError(f"expected a term, got {value!r}", pos)
         if value == "id":
             return Id(_parse_mod(self.next()))
-        if value in ("box", "dia"):
-            opening = self.next()
-            if opening[0] != "(":
-                raise ParseError(f"expected '(' after {value}", opening[2])
-            body = self.parse_term()
-            closing = self.next()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
-            return App(BOX if value == "box" else DIA, body)
         if value in GENERATORS:
             return Gen(value, _parse_mod(self.next()))
         raise ParseError(f"unknown generator name {value!r}", pos)
@@ -364,6 +382,27 @@ def term_factors(term: ArrowTerm) -> tuple[str, str, list[Factor]]:
                 f"{word_to_str(tgt)} != outer source {word_to_str(leaf_src)}")
         tgt = leaf_tgt
     return src, tgt, factors
+
+
+def chain_target(src: str, factors: Iterable[Factor]) -> str:
+    """Target word of factors applied in order from ``src``.
+
+    Checks what :func:`term_factors` checks on the term the factors spell:
+    every kind and word, and that each factor starts where the factor
+    applied before it ends.
+    """
+    word = check_word(src)
+    for factor in factors:
+        if factor.kind not in GENERATORS:
+            raise TypingError(f"unknown generator kind {factor.kind!r}")
+        check_word(factor.prefix)
+        check_word(factor.index)
+        if factor.src != word:
+            raise TypingError(
+                "composition mismatch: inner target "
+                f"{word_to_str(word)} != outer source {word_to_str(factor.src)}")
+        word = factor.tgt
+    return word
 
 
 def term_type(term: ArrowTerm) -> tuple[str, str]:

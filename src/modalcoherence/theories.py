@@ -9,7 +9,7 @@ marker for the collapse variants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .terms import (
     GENERATORS,
@@ -313,6 +313,12 @@ def typed_factors(term: ArrowTerm, theory: "Theory | str",
     and index discipline enforced on the factors."""
     theory = get_theory(theory)
     src, tgt, factors = term_factors(term)
+    check_admitted(theory, factors)
+    return src, tgt, factors
+
+
+def check_admitted(theory: Theory, factors: Iterable[Factor]) -> None:
+    """Enforce the theory's generator and index discipline on factors."""
     for factor in factors:
         if not theory.admits(factor.kind):
             raise TheoryError(
@@ -321,7 +327,6 @@ def typed_factors(term: ArrowTerm, theory: "Theory | str",
             raise TheoryError(
                 f"index {word_to_str(factor.index)!r} of {factor.kind} violates "
                 f"{theory.index_constraint_name} in {theory.id}")
-    return src, tgt, factors
 
 
 def typecheck(term: ArrowTerm, theory: "Theory | str") -> tuple[str, str]:

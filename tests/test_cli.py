@@ -2,8 +2,14 @@
 
 import json
 
-from modalcoherence import cli
-from modalcoherence.cli import DOMAIN_ERROR, INTERNAL_ERROR, USAGE_ERROR, run
+from modalcoherence import cli, rewrite
+from modalcoherence.cli import (
+    DOMAIN_ERROR,
+    INTERNAL_ERROR,
+    UNKNOWN,
+    USAGE_ERROR,
+    run,
+)
 
 
 def invoke(capsys, *argv):
@@ -78,11 +84,17 @@ def test_prove(capsys):
                           "box(delta_db{e}) . delta_bd{b}",
                           "delta_bb{e} . delta_db{e}")
     assert code == 0 and out.startswith("Proved")
+    # Different diagrams: the terms are not equal.
     code, out, _ = invoke(capsys, "prove", "--theory", "s4_boxdia",
                           "--depth", "4",
                           "dia(box(eps_dia{e})) . eps_box{db}",
                           "eps_dia{bd} . box(dia(eps_box{e}))")
-    assert code == 1 and out.strip() == "Unknown"
+    assert code == 1 and out.strip() == "not equal"
+    # Equal diagrams, but no derivation within the size slack.
+    code, out, _ = invoke(capsys, "prove", "--theory", "splus_chi_op",
+                          "box(delta_bb{e}) . chi_bb{e}",
+                          "chi_bb{b} . box(chi_bb{e}) . delta_bb{b}")
+    assert code == UNKNOWN == 3 and out.strip() == "Unknown"
 
 
 def test_hom(capsys):
@@ -151,3 +163,20 @@ def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
     assert code == INTERNAL_ERROR == 70
     assert out == ""
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+def test_guard_failure_is_an_internal_error(capsys, monkeypatch):
+    # SoundnessViolation is a TermError, but it reports a library fault, not
+    # bad input.
+    build_side = rewrite.build_side
+
+    def broken(side, bindings):
+        return [f for f in build_side(side, bindings) if f.kind != "chi_bb"]
+
+    monkeypatch.setattr(rewrite, "build_side", broken)
+    code, out, err = invoke(capsys, "prove", "--theory", "s4_box_chi",
+                            "delta_bb{b} . chi_bb{e}",
+                            "box(chi_bb{e}) . chi_bb{b} . box(delta_bb{e})")
+    assert code == INTERNAL_ERROR == 70
+    assert out == ""
+    assert err.startswith("internal error: SoundnessViolation: ")

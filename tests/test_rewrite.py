@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+from modalcoherence import rewrite
 from modalcoherence.interp import decide_equal, interp
 from modalcoherence.decide import random_term
 from modalcoherence.rewrite import (
+    SoundnessViolation,
     confluence_check,
     develop,
     directed_normalize,
@@ -15,10 +17,13 @@ from modalcoherence.rewrite import (
     prove_equal_bounded,
     search_depth,
 )
-from modalcoherence.schemas import SCHEMAS, instantiate
+from modalcoherence.schemas import SCHEMAS, build_side, instantiate
 from modalcoherence.terms import (
+    Factor,
     Id,
     TermError,
+    TypingError,
+    chain_target,
     factors_to_term,
     parse_term,
     term_factors,
@@ -159,8 +164,53 @@ def test_prove_reproduces_comultiplication_redundancy():
 def test_prove_unknown_on_unequal_images():
     lhs, rhs = instantiate(SCHEMAS["commute_box_dia"], "")
     result = prove_equal_bounded("s4_boxdia", lhs, rhs, depth=8)
-    assert not result.proved
+    assert not result.proved and result.refuted
     assert not interp("s4_boxdia", lhs).same_as(interp("s4_boxdia", rhs))
+
+
+def test_prove_unknown_is_not_refuted():
+    # Equal diagrams, but no derivation within size slack 2.
+    lhs = parse_term("box(delta_bb{e}) . chi_bb{e}")
+    rhs = parse_term("chi_bb{b} . box(chi_bb{e}) . delta_bb{b}")
+    assert interp("splus_chi_op", lhs).same_as(interp("splus_chi_op", rhs))
+    result = prove_equal_bounded("splus_chi_op", lhs, rhs)
+    assert not result.proved and not result.refuted
+
+
+# An instance of delta_chi_bb: the greedy strategy rewrites the right side
+# into the left one, building a side that contains chi_bb.
+_DELTA_CHI = (parse_term("delta_bb{b} . chi_bb{e}"),
+              parse_term("box(chi_bb{e}) . chi_bb{b} . box(delta_bb{e})"))
+
+
+def _drop_chi(side, bindings):
+    # chi_bb is an endomorphism, so dropping it keeps every list well-typed.
+    return [f for f in build_side(side, bindings) if f.kind != "chi_bb"]
+
+
+def test_guard_detects_a_rewrite_that_changes_the_image(monkeypatch):
+    lhs, rhs = _DELTA_CHI
+    assert prove_equal_bounded("s4_box_chi", lhs, rhs).proved
+    monkeypatch.setattr(rewrite, "build_side", _drop_chi)
+    with pytest.raises(SoundnessViolation, match="broke the interpretation") as info:
+        prove_equal_bounded("s4_box_chi", lhs, rhs)
+    src, tgt, _ = term_factors(lhs)
+    bad = list(info.value.candidate)
+    assert chain_target(src, bad) == tgt
+    assert not interp("s4_box_chi", factors_to_term(src, bad)).same_as(
+        interp("s4_box_chi", lhs))
+
+
+def test_guard_rejects_an_ill_typed_rewrite(monkeypatch):
+    def stray_counit(side, bindings):
+        return build_side(side, bindings) + [Factor("", "eps_box", "")]
+
+    lhs, rhs = _DELTA_CHI
+    monkeypatch.setattr(rewrite, "build_side", stray_counit)
+    with pytest.raises(SoundnessViolation, match="ill-typed") as info:
+        prove_equal_bounded("s4_box_chi", lhs, rhs)
+    with pytest.raises(TypingError):
+        chain_target(term_factors(lhs)[0], info.value.candidate)
 
 
 def test_prove_requires_same_type():

@@ -188,3 +188,16 @@ def test_dualize_matches_converse_of_interpretation():
 def test_term_size():
     assert term_size(parse_term("id{bd}")) == 0
     assert term_size(parse_term("box(delta_db{e}) . delta_bd{b}")) == 2
+
+
+def test_deep_operator_nesting_at_default_recursion_limit():
+    # 2000 nested applications: the parser keeps open chains on a stack and
+    # the printer unwinds an application stack in a loop.  Terms are
+    # compared by their strings, because dataclass == still recurses.
+    text = "box(" * 2000 + "eps_box{e}" + ")" * 2000
+    term = parse_term(text)
+    assert str(term) == text
+    assert str(parse_term(str(term))) == text
+    assert typecheck(term, "s4_box") == ("b" * 2001, "b" * 2000)
+    mixed = "dia(box(" * 1000 + "id{b} . eps_box{b}" + "))" * 1000
+    assert str(parse_term(mixed)) == mixed
