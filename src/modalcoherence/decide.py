@@ -25,16 +25,15 @@ from .terms import (
     App,
     BOX,
     DIA,
-    Comp,
     Factor,
     GENERATORS,
     Gen,
     Id,
     TermError,
-    append_context,
     dualize,
     factors_to_term,
     letter_at,
+    map_term,
     rev_word,
     swap_word,
     term_factors,
@@ -546,21 +545,21 @@ def mirror_term(term: ArrowTerm, source: str = "s5") -> ArrowTerm:
         raise TermError("mirror_term source must be 's5' or 'fives'")
     table = _MIRROR_FROM_S5 if source == "s5" else _MIRROR_FROM_FIVES
 
-    def walk(t: ArrowTerm) -> ArrowTerm:
+    # An operator applied above a part moves to the right end of every
+    # index word below it, so each leaf takes its reversed prefix as a
+    # context, and the applications themselves disappear.
+    def leaf(t: ArrowTerm, prefix: str) -> ArrowTerm:
+        ctx = prefix[::-1]
         if isinstance(t, Id):
-            return Id(rev_word(t.word))
-        if isinstance(t, Gen):
-            if t.kind not in table:
-                raise TermError(f"generator {t.kind} is not in theory {source}")
-            out: ArrowTerm = Gen(table[t.kind], "")
-            for op in t.index:
-                out = App(op, out)
-            return out
-        if isinstance(t, App):
-            return append_context(walk(t.body), t.op)
-        return Comp(walk(t.outer), walk(t.inner))
+            return Id(rev_word(t.word) + ctx)
+        if t.kind not in table:
+            raise TermError(f"generator {t.kind} is not in theory {source}")
+        out: ArrowTerm = Gen(table[t.kind], ctx)
+        for op in t.index:
+            out = App(op, out)
+        return out
 
-    return walk(term)
+    return map_term(term, leaf, lambda op, body: body)
 
 
 def mirror_factor(factor: Factor, source: str = "s5") -> Factor:

@@ -106,18 +106,6 @@ def _boundary_words(src: str, factors: tuple[Factor, ...]) -> list[str]:
     return words
 
 
-def _strip(segment: list[Factor], s: int) -> Optional[list[Factor]]:
-    if s == 0:
-        return segment
-    prefix = segment[0].prefix[:s]
-    stripped = []
-    for f in segment:
-        if f.prefix[:s] != prefix or len(f.prefix) < s:
-            return None
-        stripped.append(Factor(f.prefix[s:], f.kind, f.index))
-    return stripped
-
-
 def _apply_prefix(factors: list[Factor], prefix: str) -> list[Factor]:
     if not prefix:
         return factors
@@ -161,8 +149,15 @@ _MATCHERS: dict[tuple[str, str], _Matcher] = {
 }
 
 
+# A match of a matcher against a spine: the rewritten spine, the position of
+# the first replaced factor, the strip depth, the number of inserted factors
+# and the bindings.  The Step, whose instantiation text is built from the
+# bindings, is made by _step only for the rewrites a caller keeps.
+_Match = tuple[tuple[Factor, ...], int, int, int, dict]
+
+
 def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
-                      words: list[str]) -> Iterator[tuple[tuple[Factor, ...], Step]]:
+                      words: list[str]) -> Iterator[_Match]:
     to = m.to
     n = len(factors)
     if m.frm:
@@ -172,18 +167,17 @@ def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
             if f.kind != kind or not f.prefix.endswith(anchor):
                 continue
             s = len(f.prefix) - len(anchor)
-            segment = list(factors[i:i + L])
-            stripped = _strip(segment, s)
-            if stripped is None:
+            outer = f.prefix[:s]
+            segment = factors[i:i + L]
+            # Only a segment under one common prefix reaches match_side.
+            if s and not all(g.prefix.startswith(outer) for g in segment):
                 continue
-            bindings = match_side(m.frm, stripped)
+            bindings = match_side(m.frm, segment, outer=outer)
             if bindings is None:
                 continue
-            new_segment = _apply_prefix(build_side(to, bindings), f.prefix[:s])
-            new_factors = factors[:i] + tuple(new_segment) + factors[i + L:]
-            yield new_factors, Step(m.schema_id, m.direction, i, s, L,
-                                    len(new_segment),
-                                    _describe_bindings(bindings))
+            new_segment = _apply_prefix(build_side(to, bindings), outer)
+            yield (factors[:i] + tuple(new_segment) + factors[i + L:],
+                   i, s, len(new_segment), bindings)
     else:
         # Inserting an expansion of the identity at a boundary.
         pre, var = m.identity_word
@@ -195,10 +189,14 @@ def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
                     continue
                 bindings = {var: rest[len(pre):]}
                 new_segment = _apply_prefix(build_side(to, bindings), word[:s])
-                new_factors = factors[:i] + tuple(new_segment) + factors[i:]
-                yield new_factors, Step(m.schema_id, m.direction, i, s, 0,
-                                        len(new_segment),
-                                        _describe_bindings(bindings))
+                yield (factors[:i] + tuple(new_segment) + factors[i:],
+                       i, s, len(new_segment), bindings)
+
+
+def _step(m: _Matcher, position: int, strip: int, inserted: int,
+          bindings: dict) -> Step:
+    return Step(m.schema_id, m.direction, position, strip, len(m.frm),
+                inserted, _describe_bindings(bindings))
 
 
 def rewrites(theory: Theory, src: str, factors: tuple[Factor, ...],
@@ -213,7 +211,8 @@ def rewrites(theory: Theory, src: str, factors: tuple[Factor, ...],
         for direction in directions:
             m = _MATCHERS.get((schema_id, direction))
             if m is not None:  # instance-only schemas have no matcher
-                yield from _segment_rewrites(m, factors, words)
+                for new_factors, *match in _segment_rewrites(m, factors, words):
+                    yield new_factors, _step(m, *match)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def directed_normalize(theory: "Theory | str", src: str,
             if m.kind in kinds:
                 found = next(_segment_rewrites(m, current, words), None)
                 if found is not None and found[0] not in seen:
-                    current, step = found
+                    current, step = found[0], _step(m, *found[1:])
                     break
         if step is not None:
             steps.append(step)
@@ -337,25 +336,26 @@ def directed_normalize(theory: "Theory | str", src: str,
                     anchor = pair[m.offset]
                     if anchor.kind != m.kind or not anchor.prefix.endswith(m.prefix):
                         continue
-                    for new_pair, step in _segment_rewrites(m, pair, words[i:i + 3]):
+                    for new_pair, position, strip, inserted, _ in \
+                            _segment_rewrites(m, pair, words[i:i + 3]):
                         ni, no = new_pair
                         nsi, nso = stage.get(ni.kind, 0), stage.get(no.kind, 0)
                         if nsi > nso:
                             continue
                         if nsi == nso and not (_sort_key(ni) > _sort_key(no)):
                             continue
-                        wanted = (new_pair, step)
+                        wanted = (new_pair, m, position, strip, inserted)
                         break
                     if wanted:
                         break
                 if wanted:
-                    new_pair, step = wanted
+                    new_pair, m, position, strip, inserted = wanted
                     candidate = current[:i] + new_pair + current[i + 2:]
                     if candidate not in seen:
                         current = candidate
-                        steps.append(Step(step.schema_id, step.direction,
-                                          i + step.position, step.strip,
-                                          step.replaced, step.inserted))
+                        steps.append(Step(m.schema_id, m.direction,
+                                          i + position, strip, len(m.frm),
+                                          inserted))
                         seen.add(current)
                         changed = True
                         break

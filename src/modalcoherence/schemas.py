@@ -15,7 +15,7 @@ and directed-rewriting engines).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .terms import (
     App,
@@ -78,15 +78,22 @@ def F(prefix: str) -> FVarPat:
 # Matching and instantiation over factor lists
 
 
-def match_side(side: Side, segment: list[Factor],
-               bindings: Optional[dict] = None) -> Optional[dict]:
-    """Match a pattern side against a factor segment; returns bindings."""
+def match_side(side: Side, segment: Sequence[Factor],
+               bindings: Optional[dict] = None,
+               outer: str = "") -> Optional[dict]:
+    """Match a pattern side against a factor segment; returns bindings.
+
+    ``outer`` is an operator prefix common to the whole segment that is
+    stripped before matching: each factor is matched as if its prefix did
+    not start with ``outer``, and a factor whose prefix does not start with
+    it fails to match.
+    """
     if len(side) != len(segment):
         return None
     bound: dict = dict(bindings) if bindings else {}
     for pat, factor in zip(side, segment):
         if isinstance(pat, GenPat):
-            if factor.kind != pat.kind or factor.prefix != pat.prefix:
+            if factor.kind != pat.kind or factor.prefix != outer + pat.prefix:
                 return None
             if not factor.index.startswith(pat.index_pre):
                 return None
@@ -94,9 +101,10 @@ def match_side(side: Side, segment: list[Factor],
             if bound.setdefault(pat.index_var, word) != word:
                 return None
         else:
-            if not factor.prefix.startswith(pat.prefix):
+            head = outer + pat.prefix
+            if not factor.prefix.startswith(head):
                 return None
-            inner = Factor(factor.prefix[len(pat.prefix):], factor.kind,
+            inner = Factor(factor.prefix[len(head):], factor.kind,
                            factor.index)
             if bound.setdefault("f", inner) != inner:
                 return None

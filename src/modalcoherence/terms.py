@@ -17,7 +17,7 @@ term has a unique source and target word, computed by :func:`term_type`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 BOX = "b"
 DIA = "d"
@@ -116,37 +116,113 @@ class Gen:
         return f"{self.kind}{{{word_to_str(self.index)}}}"
 
 
-@dataclass(frozen=True)
+# Equality, hashing, repr and printing of the two inner node types walk the
+# term with an explicit stack, so the depth of a term is not bounded by the
+# recursion limit.  Equality and repr give what the dataclass methods would;
+# the hash is a different number, consistent with equality.
+
+
+def _term_eq(self, other) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__:
+            return False
+        if x.__class__ is App:
+            if x.op != y.op:
+                return False
+            stack.append((x.body, y.body))
+        elif x.__class__ is Comp:
+            stack.append((x.inner, y.inner))
+            stack.append((x.outer, y.outer))
+        elif x != y:
+            return False
+    return True
+
+
+def _term_hash(self) -> int:
+    # The nodes in prefix order, each inner node marked by its class, spell
+    # the tree exactly.
+    tokens: list = []
+    stack = [self]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is App:
+            tokens += (App, t.op)
+            stack.append(t.body)
+        elif t.__class__ is Comp:
+            tokens.append(Comp)
+            stack += (t.inner, t.outer)
+        else:
+            tokens.append(t)
+    return hash(tuple(tokens))
+
+
+def _term_repr(self) -> str:
+    parts: list[str] = []
+    stack: list = [self]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif t.__class__ is App:
+            parts.append(f"App(op={t.op!r}, body=")
+            stack += (")", t.body)
+        elif t.__class__ is Comp:
+            parts.append("Comp(outer=")
+            stack += (")", t.inner, ", inner=", t.outer)
+        else:
+            parts.append(repr(t))
+    return "".join(parts)
+
+
+def _term_str(self) -> str:
+    # Composition chains print right-associated; a composite on the left
+    # keeps its parentheses, so printing round-trips to the same tree.
+    parts: list[str] = []
+    stack: list = [self]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif t.__class__ is App:
+            parts.append("box(" if t.op == BOX else "dia(")
+            stack += (")", t.body)
+        elif t.__class__ is Comp:
+            stack += (t.inner, " . ")
+            if t.outer.__class__ is Comp:
+                stack += (")", t.outer, "(")
+            else:
+                stack.append(t.outer)
+        else:
+            parts.append(str(t))
+    return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class App:
     op: str  # 'b' or 'd'
     body: "ArrowTerm"
 
-    def __str__(self) -> str:
-        # A stack of applications prints in a loop.
-        names = []
-        term: ArrowTerm = self
-        while isinstance(term, App):
-            names.append("box" if term.op == BOX else "dia")
-            term = term.body
-        return "(".join(names) + f"({term}" + ")" * len(names)
+    __eq__ = _term_eq
+    __hash__ = _term_hash
+    __repr__ = _term_repr
+    __str__ = _term_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Comp:
     outer: "ArrowTerm"
     inner: "ArrowTerm"
 
-    def __str__(self) -> str:
-        # Composition chains print right-associated; a composite on the left
-        # keeps its parentheses so printing round-trips to the same tree.
-        parts = []
-        term: ArrowTerm = self
-        while isinstance(term, Comp):
-            outer = term.outer
-            parts.append(f"({outer})" if isinstance(outer, Comp) else str(outer))
-            term = term.inner
-        parts.append(str(term))
-        return " . ".join(parts)
+    __eq__ = _term_eq
+    __hash__ = _term_hash
+    __repr__ = _term_repr
+    __str__ = _term_str
 
 
 ArrowTerm = Union[Id, Gen, App, Comp]
@@ -281,6 +357,40 @@ def term_to_str(term: ArrowTerm) -> str:
 # Structural operations
 
 
+def map_term(term: ArrowTerm,
+             leaf: Callable[[ArrowTerm, str], ArrowTerm],
+             app: Callable[[str, ArrowTerm], ArrowTerm] = App,
+             comp: Callable[[ArrowTerm, ArrowTerm], ArrowTerm] = Comp,
+             ) -> ArrowTerm:
+    """Rebuild a term bottom-up, without recursion.
+
+    Each identity or generator ``t`` becomes ``leaf(t, prefix)``, where
+    ``prefix`` holds the operator letters applied above it, outermost first;
+    each application becomes ``app(op, body)`` and each composite
+    ``comp(outer, inner)`` of the rebuilt parts.  The outer part of a
+    composite is visited before the inner one.
+    """
+    values: list[ArrowTerm] = []
+    stack: list[tuple[ArrowTerm, str, bool]] = [(term, "", False)]
+    while stack:
+        t, prefix, ready = stack.pop()
+        if isinstance(t, App):
+            if ready:
+                values.append(app(t.op, values.pop()))
+            else:
+                stack += ((t, prefix, True), (t.body, prefix + t.op, False))
+        elif isinstance(t, Comp):
+            if ready:
+                inner = values.pop()
+                values.append(comp(values.pop(), inner))
+            else:
+                stack += ((t, prefix, True), (t.inner, prefix, False),
+                          (t.outer, prefix, False))
+        else:
+            values.append(leaf(t, prefix))
+    return values[0]
+
+
 def append_context(term: ArrowTerm, ctx: str) -> ArrowTerm:
     """Append ``ctx`` on the right of every index word.
 
@@ -291,25 +401,25 @@ def append_context(term: ArrowTerm, ctx: str) -> ArrowTerm:
     check_word(ctx)
     if not ctx:
         return term
-    if isinstance(term, Id):
-        return Id(term.word + ctx)
-    if isinstance(term, Gen):
-        return Gen(term.kind, term.index + ctx)
-    if isinstance(term, App):
-        return App(term.op, append_context(term.body, ctx))
-    return Comp(append_context(term.outer, ctx), append_context(term.inner, ctx))
+
+    def leaf(t: ArrowTerm, _prefix: str) -> ArrowTerm:
+        if isinstance(t, Id):
+            return Id(t.word + ctx)
+        return Gen(t.kind, t.index + ctx)
+
+    return map_term(term, leaf)
 
 
 def dualize(term: ArrowTerm) -> ArrowTerm:
     """Form the opposite term: swap box/diamond, dual generators, reversed
     composition.  The result has type (swap(tgt), swap(src))."""
-    if isinstance(term, Id):
-        return Id(swap_word(term.word))
-    if isinstance(term, Gen):
-        return Gen(DUAL_KIND[term.kind], swap_word(term.index))
-    if isinstance(term, App):
-        return App(swap_word(term.op), dualize(term.body))
-    return Comp(dualize(term.inner), dualize(term.outer))
+    def leaf(t: ArrowTerm, _prefix: str) -> ArrowTerm:
+        if isinstance(t, Id):
+            return Id(swap_word(t.word))
+        return Gen(DUAL_KIND[t.kind], swap_word(t.index))
+
+    return map_term(term, leaf, lambda op, body: App(swap_word(op), body),
+                    lambda outer, inner: Comp(inner, outer))
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ from modalcoherence.terms import (
     append_context,
     dualize,
     parse_term,
+    swap_word,
     term_factors,
     term_size,
     term_to_str,
     term_type,
 )
 from modalcoherence.theories import raw_splus, typecheck, TheoryError
-from modalcoherence.decide import random_term
+from modalcoherence.decide import mirror_term, random_term
 from modalcoherence.interp import interp
 from modalcoherence import diagram as dg
 
@@ -192,12 +193,40 @@ def test_term_size():
 
 def test_deep_operator_nesting_at_default_recursion_limit():
     # 2000 nested applications: the parser keeps open chains on a stack and
-    # the printer unwinds an application stack in a loop.  Terms are
-    # compared by their strings, because dataclass == still recurses.
+    # the printer walks the term with an explicit stack.
     text = "box(" * 2000 + "eps_box{e}" + ")" * 2000
     term = parse_term(text)
     assert str(term) == text
     assert str(parse_term(str(term))) == text
+    assert parse_term(str(term)) == term
     assert typecheck(term, "s4_box") == ("b" * 2001, "b" * 2000)
     mixed = "dia(box(" * 1000 + "id{b} . eps_box{b}" + "))" * 1000
     assert str(parse_term(mixed)) == mixed
+
+
+@pytest.mark.parametrize("text, other", [
+    ("box(" * 2000 + "eps_box{e}" + ")" * 2000,
+     "box(" * 2000 + "eps_box{b}" + ")" * 2000),
+    (" . ".join(["eps_box{b} . delta_bb{e}"] * 50_000),
+     " . ".join(["eps_box{b} . delta_bb{e}"] * 50_000)[:-3] + "{b}"),
+], ids=["operator_nest_2000", "composition_chain_100000"])
+def test_deep_terms_at_default_recursion_limit(text, other):
+    # Equality, hashing, repr, printing and the term transforms walk a term
+    # with an explicit stack, whatever its shape: dualizing turns the
+    # parser's right-nested chain into a left-nested one.
+    term, different = parse_term(text), parse_term(other)
+    src, tgt = term_type(term)
+    dual = dualize(term)
+    assert term_type(dual) == (swap_word(tgt), swap_word(src))
+    assert parse_term(str(dual)) == dual
+    same = dualize(dual)
+    assert same is not term
+    assert same == term and hash(same) == hash(term)
+    assert term != different
+    shown = repr(term)
+    assert shown.count("App(") == text.count("box(")
+    assert shown.count("Comp(") == text.count(" . ")
+    assert term_type(append_context(term, "d")) == (src + "d", tgt + "d")
+    mirrored = mirror_term(term, source="s5")
+    assert term_type(mirrored) == (src[::-1], tgt[::-1])
+    assert mirror_term(mirrored, source="fives") == term
