@@ -25,7 +25,6 @@ from .theories import (
     TRIV,
     Theory,
     get_theory,
-    typecheck,
     typed_factors,
 )
 
@@ -334,14 +333,17 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
     """Verify every axiom-schema instance of the theory under the functor.
 
     Index metavariables range over words of length <= idx_bound; the inner
-    arrow of a naturality schema ranges over all theory terms with at most
-    f_bound generators whose source word has length <= idx_bound.  For the
-    preorder quotients the check degenerates to equality of types, which is
-    what their decision procedure relies on.
+    arrow of a naturality schema ranges over all theory factor lists with at
+    most f_bound generators whose source word has length <= idx_bound.  Each
+    side of an instance is typed and checked against the theory's generator
+    and index discipline, and the two sides must agree on type (source and
+    target word) and on image under the functor.  For the preorder
+    quotients the check degenerates to equality of types, which is what
+    their decision procedure relies on.
     """
     from .schemas import get_schema, instantiate
-    from .terms import factors_to_term
-    from .theories import enumerate_factor_terms
+    from .terms import chain_target, factors_to_term
+    from .theories import check_admitted, enumerate_factor_terms
 
     theory = get_theory(theory)
     type_only = theory.quotient == TRIV
@@ -351,30 +353,31 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
     failures: list[SoundnessFailure] = []
     instances = 0
 
-    def check_one(schema_id: str, word: str, lhs: ArrowTerm, rhs: ArrowTerm,
-                  inner: Optional[str]) -> None:
+    def summary(src: str, factors: list[Factor]) -> tuple:
+        tgt = chain_target(src, factors)
+        check_admitted(theory, factors)
+        if type_only:
+            return src, tgt
+        return src, tgt, _image(theory, variant, src, tgt, factors).key()
+
+    def check_one(schema, word: str, inner: Optional[tuple]) -> None:
         nonlocal instances
         instances += 1
-        if type_only:
-            ok = typecheck(lhs, theory) == typecheck(rhs, theory)
-        else:
-            ok = interp(theory, lhs, variant).same_as(interp(theory, rhs, variant))
-        if not ok:
-            failures.append(SoundnessFailure(schema_id, word, inner,
-                                             str(lhs), str(rhs)))
+        lhs, rhs = instantiate(schema, word, inner)
+        if summary(*lhs) != summary(*rhs):
+            failures.append(SoundnessFailure(
+                schema.id, word,
+                str(factors_to_term(*inner)) if inner else None,
+                str(factors_to_term(*lhs)), str(factors_to_term(*rhs))))
 
     for schema_id in theory.equations:
         schema = get_schema(schema_id)
-        if schema.pattern_based and schema.naturality:
-            for word in words:
+        for word in words:
+            if schema.naturality:
                 for factors in enumerate_factor_terms(theory, word, f_bound):
-                    inner = factors_to_term(word, factors)
-                    lhs, rhs = instantiate(schema, "", f_term=inner)
-                    check_one(schema_id, word, lhs, rhs, str(inner))
-        else:
-            for word in words:
-                lhs, rhs = instantiate(schema, word)
-                check_one(schema_id, word, lhs, rhs, None)
+                    check_one(schema, word, (word, factors))
+            else:
+                check_one(schema, word, None)
     return SoundnessReport(theory.id, variant, instances, tuple(failures))
 
 

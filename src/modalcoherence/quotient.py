@@ -24,9 +24,10 @@ from .terms import (
     Gen,
     Id,
     TermError,
+    chain_target,
     check_word,
+    factors_to_term,
     term_factors,
-    term_type,
     word_to_str,
 )
 from .theories import SHARP, Theory, get_theory, typecheck, typed_factors
@@ -219,8 +220,8 @@ def preordering_catalog(theory: "Theory | str", word: str = "",
         raise TermError("the preordering catalog applies to s5 and fives")
     out = []
     for sid in ids:
-        lhs, rhs = instantiate(get_schema(sid), word)
-        if term_type(lhs) != term_type(rhs):
+        (lsrc, lhs), (rsrc, rhs) = instantiate(get_schema(sid), word)
+        if (lsrc, chain_target(lsrc, lhs)) != (rsrc, chain_target(rsrc, rhs)):
             raise TermError(f"catalog entry {sid} is not type-balanced")
-        out.append((lhs, rhs))
+        out.append((factors_to_term(lsrc, lhs), factors_to_term(rsrc, rhs)))
     return out

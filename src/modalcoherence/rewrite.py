@@ -88,14 +88,14 @@ def derivation_to_json(steps: list[Step]) -> str:
 
 
 def _describe_bindings(bindings: dict) -> str:
-    from .terms import word_to_str
+    from .terms import factors_to_term, word_to_str
 
     parts = []
     for key in ("A", "B"):
         if key in bindings:
             parts.append(f"{key}={word_to_str(bindings[key])}")
     if "f" in bindings:
-        parts.append(f"f={bindings['f'].to_term()}")
+        parts.append(f"f={factors_to_term(bindings['A'], bindings['f'])}")
     return " ".join(parts)
 
 

@@ -4,28 +4,23 @@ A schema side is a tuple of factor patterns in application order (the first
 entry applies first).  A pattern factor is either a concrete generator with a
 fixed operator prefix and an index of the form ``pre + A`` (``A`` a word
 metavariable), or an arrow metavariable ``f`` under a fixed prefix, whose
-source and target words bind the metavariables ``A`` and ``B``.  An empty
-side denotes an identity; its word is recorded separately.
+source and target words bind the metavariables ``A`` and ``B``.  ``f`` is
+bound to a tuple of factors.  An empty side denotes an identity; its word is
+recorded separately.
 
-Schemas both *instantiate* (producing concrete equation instances for the
-soundness sweep) and *match* against factor lists (driving the proof-search
-and directed-rewriting engines).
+Schemas *match* against factor lists (driving the proof-search and
+directed-rewriting engines) and *instantiate* (producing concrete equation
+instances for the soundness sweep).  Both build a side from its bindings
+with :func:`build_side`, which gives a factor list; an instance is a
+(source word, factors) pair per side, never a term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .terms import (
-    App,
-    ArrowTerm,
-    Factor,
-    GENERATORS,
-    TermError,
-    factors_to_term,
-    term_type,
-)
+from .terms import GENERATORS, Factor, TermError, chain_target
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,9 @@ class EquationSchema:
     # Word of the identity side, as (prefix letters, metavariable), for
     # schemas one of whose sides is an identity.
     identity_word: Optional[tuple[str, str]] = None
-    # Instance-only schemas (no usable patterns) supply a builder instead.
-    builder: Optional[Callable[[str], tuple[ArrowTerm, ArrowTerm]]] = None
+    # A mirrored schema has no patterns of its own: its instances are the
+    # mirror images (decide.mirror_factor) of this s5 schema's instances.
+    mirror_of: Optional[str] = None
 
     @property
     def naturality(self) -> bool:
@@ -62,7 +58,7 @@ class EquationSchema:
 
     @property
     def pattern_based(self) -> bool:
-        return self.builder is None
+        return self.mirror_of is None
 
 
 def G(prefix: str, kind: str, index_pre: str, index_var: str = "A") -> GenPat:
@@ -86,7 +82,8 @@ def match_side(side: Side, segment: Sequence[Factor],
     ``outer`` is an operator prefix common to the whole segment that is
     stripped before matching: each factor is matched as if its prefix did
     not start with ``outer``, and a factor whose prefix does not start with
-    it fails to match.
+    it fails to match.  An arrow metavariable matches one factor and binds
+    ``f`` to the one-factor tuple of it, with the pattern's prefix stripped.
     """
     if len(side) != len(segment):
         return None
@@ -106,7 +103,8 @@ def match_side(side: Side, segment: Sequence[Factor],
                 return None
             inner = Factor(factor.prefix[len(head):], factor.kind,
                            factor.index)
-            if bound.setdefault("f", inner) != inner:
+            f = (inner,)
+            if bound.setdefault("f", f) != f:
                 return None
             if bound.setdefault("A", inner.src) != inner.src:
                 return None
@@ -116,63 +114,59 @@ def match_side(side: Side, segment: Sequence[Factor],
 
 
 def build_side(side: Side, bindings: dict) -> list[Factor]:
+    """The factors of a pattern side under the bindings; the inner arrow
+    ``f`` is spliced in whole, under the pattern's prefix."""
     factors = []
     for pat in side:
         if isinstance(pat, GenPat):
             factors.append(Factor(pat.prefix, pat.kind,
                                   pat.index_pre + bindings[pat.index_var]))
         else:
-            inner: Factor = bindings["f"]
-            factors.append(Factor(pat.prefix + inner.prefix, inner.kind,
-                                  inner.index))
+            factors.extend(Factor(pat.prefix + g.prefix, g.kind, g.index)
+                           for g in bindings["f"])
     return factors
 
 
-def _side_term(schema: EquationSchema, side: Side, bindings: dict,
-               f_term: Optional[ArrowTerm]) -> ArrowTerm:
+def _side_source(schema: EquationSchema, side: Side, bindings: dict) -> str:
     if not side:
         pre, var = schema.identity_word
-        word = pre + bindings[var]
-        return factors_to_term(word, [])
-    parts: list[ArrowTerm] = []
-    src = None
-    for pat in side:
-        if isinstance(pat, GenPat):
-            factor = Factor(pat.prefix, pat.kind,
-                            pat.index_pre + bindings[pat.index_var])
-            parts.append(factor.to_term())
-            if src is None:
-                src = factor.src
-        else:
-            term = f_term
-            for op in reversed(pat.prefix):
-                term = App(op, term)
-            parts.append(term)
-            if src is None:
-                src = term_type(term)[0]
-    out = parts[0]
-    for part in parts[1:]:
-        from .terms import Comp
+        return pre + bindings[var]
+    pat = side[0]
+    if isinstance(pat, FVarPat):
+        return pat.prefix + bindings["A"]
+    return Factor(pat.prefix, pat.kind,
+                  pat.index_pre + bindings[pat.index_var]).src
 
-        out = Comp(part, out)
-    return out
+
+Instance = tuple[str, list[Factor]]
 
 
 def instantiate(schema: EquationSchema, word: str,
-                f_term: Optional[ArrowTerm] = None) -> tuple[ArrowTerm, ArrowTerm]:
-    """Concrete (lhs, rhs) instance at index word ``word``; naturality
-    schemas additionally take the inner arrow."""
-    if schema.builder is not None:
-        return schema.builder(word)
+                inner: Optional[Instance] = None) -> tuple[Instance, Instance]:
+    """Concrete (lhs, rhs) instance at index word ``word``, each side as its
+    source word and its factors in application order.
+
+    A naturality schema takes its inner arrow ``inner`` as (source word,
+    factors), which binds ``A`` and ``B``; ``word`` is then unused.  A
+    mirrored schema is the mirror image of its base schema's instance at
+    the reversed word.  The sides are not typed here.
+    """
+    if schema.mirror_of is not None:
+        from .decide import mirror_factor
+
+        return tuple((src[::-1], [mirror_factor(f) for f in factors])
+                     for src, factors in instantiate(get_schema(schema.mirror_of),
+                                                     word[::-1]))
     bindings: dict = {"A": word}
     if schema.naturality:
-        if f_term is None:
+        if inner is None:
             raise TermError(f"schema {schema.id} needs an inner arrow")
-        a, b = term_type(f_term)
-        bindings = {"A": a, "B": b}
-    lhs = _side_term(schema, schema.lhs, bindings, f_term)
-    rhs = _side_term(schema, schema.rhs, bindings, f_term)
-    return lhs, rhs
+        src, factors = inner
+        bindings = {"A": src, "B": chain_target(src, factors),
+                    "f": tuple(factors)}
+    return tuple((_side_source(schema, side, bindings),
+                  build_side(side, bindings))
+                 for side in (schema.lhs, schema.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +437,13 @@ def _build_registry() -> dict[str, EquationSchema]:
                      [G("", "eps_dia", "d", "A")],
                      [G("d", "eps_dia", "", "A")]))
 
-    registry = {schema.id: schema for schema in s}
-
     # Mirrored preordering equations (instance-built: the mirror places the
     # reversed index word as an application prefix, which the factor-pattern
     # language cannot express).
-    def mirrored(base_id: str) -> Callable[[str], tuple[ArrowTerm, ArrowTerm]]:
-        def build(word: str) -> tuple[ArrowTerm, ArrowTerm]:
-            from .decide import mirror_term
-
-            lhs, rhs = instantiate(registry[base_id], word[::-1])
-            return mirror_term(lhs, source="s5"), mirror_term(rhs, source="s5")
-
-        return build
-
     for i in range(1, 7):
-        sid = f"preorder_{i}_s"
-        registry[sid] = EquationSchema(sid, (), (), builder=mirrored(f"preorder_{i}"))
-    return registry
+        s.append(EquationSchema(f"preorder_{i}_s", (), (),
+                                mirror_of=f"preorder_{i}"))
+    return {schema.id: schema for schema in s}
 
 
 SCHEMAS: dict[str, EquationSchema] = _build_registry()

@@ -38,7 +38,7 @@ class TypingError(TermError):
 
 
 def check_word(word: str) -> str:
-    if any(c not in LETTERS for c in word):
+    if word.strip(BOX + DIA):
         raise TermError(f"bad modality word {word!r}: letters must be 'b' or 'd'")
     return word
 

@@ -114,7 +114,8 @@ def test_criterion_03_redundancy_and_named_equations():
     for sid in ("assoc_delta_bb", "assoc_delta_bd", "assoc_delta_dd",
                 "assoc_delta_db"):
         for word in _words(2):
-            lhs, rhs = instantiate(SCHEMAS[sid], word)
+            lhs, rhs = (factors_to_term(*side)
+                        for side in instantiate(SCHEMAS[sid], word))
             if not decide_equal("s5", lhs, rhs):
                 failures.append((sid, word))
     # The derivation of the mixed associativities from the interaction laws,
@@ -125,7 +126,8 @@ def test_criterion_03_redundancy_and_named_equations():
     for sid in ("assoc_delta_bb", "assoc_delta_bd", "assoc_delta_dd",
                 "assoc_delta_db"):
         for word in ("", "b"):
-            lhs, rhs = instantiate(SCHEMAS[sid], word)
+            lhs, rhs = (factors_to_term(*side)
+                        for side in instantiate(SCHEMAS[sid], word))
             result = prove_equal_bounded(reduced, lhs, rhs, depth=8)
             if not (result.proved and len(result.steps) <= 8):
                 failures.append(("derivation", sid, word))
@@ -347,7 +349,8 @@ def test_criterion_08_desk_scale_completeness():
 def test_criterion_09_quotient_contrasts():
     failures = []
     for word in ("", "b", "d"):
-        lhs, rhs = instantiate(SCHEMAS["commute_box_dia"], word)
+        lhs, rhs = (factors_to_term(*side)
+                    for side in instantiate(SCHEMAS["commute_box_dia"], word))
         if interp_sharp("s4_boxdia_sharp", lhs).same_as(
                 interp_sharp("s4_boxdia_sharp", rhs)):
             failures.append(("commute", word))

@@ -1,6 +1,7 @@
 """Coherence functors: clause values, functoriality, soundness, equality."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from modalcoherence.interp import (
     decide_equal,
     interp,
 )
+from modalcoherence.schemas import SCHEMAS
 from modalcoherence.terms import Gen, parse_term, term_factors, term_type
 from modalcoherence.theories import REGISTRY, typecheck
 
@@ -164,6 +166,52 @@ def test_soundness_mutation_detects_broken_clause(monkeypatch):
     assert any(f.schema_id in ("beta_bb", "eta_bb", "nat_delta_bb",
                                "assoc_delta_bb")
                for f in report.failures)
+
+
+def test_soundness_mutation_detects_unbalanced_types(monkeypatch):
+    # Deliberate fault: give the triangle law's identity side the wrong
+    # word.  Both sides still have the same image in s4_box and s5 (one
+    # strand per letter, whichever letter), so only the types tell them
+    # apart.
+    monkeypatch.setitem(SCHEMAS, "beta_bb",
+                        replace(SCHEMAS["beta_bb"], identity_word=("d", "A")))
+    for tid in ("s4_box", "s5"):
+        report = check_soundness(tid, idx_bound=2, f_bound=1)
+        assert not report.passed, tid
+        assert {f.schema_id for f in report.failures} == {"beta_bb"}, tid
+
+
+# Instances per (theory, functor variant) at idx_bound=2, f_bound=2: every
+# registry theory with each variant it admits.
+SOUNDNESS_INSTANCES = {
+    "fives/dual": 1850, "fives/std": 1850, "fives_triv/std": 1892,
+    "k/delta": 0, "k/eps": 0, "k/std": 0,
+    "k4_box/delta": 31, "k4_box/eps": 31, "k4_box/std": 31,
+    "k4_boxdia/delta": 64, "k4_boxdia/std": 64,
+    "k4_dia/delta": 15, "k4_dia/eps": 15, "k4_dia/std": 15,
+    "s41/std": 1115, "s42/std": 1115, "s42_iso/std": 1462,
+    "s42_sharp/sharp": 1129, "s42_sharp/std": 1129, "s42_triv/std": 1136,
+    "s4_box/std": 111, "s4_box_chi/std": 230, "s4_boxdia/std": 822,
+    "s4_boxdia_chi/std": 1498,
+    "s4_boxdia_sharp/sharp": 836, "s4_boxdia_sharp/std": 836,
+    "s4_boxdia_triv/std": 843,
+    "s4_dia/std": 223, "s4_dia_chi/std": 413,
+    "s5/dual": 1850, "s5/std": 1850, "s5_triv/std": 1892,
+    "s_chi/std": 64, "splus_chi_op/std": 105,
+    "t_box/delta": 21, "t_box/eps": 21, "t_box/std": 21,
+    "t_boxdia/eps": 246, "t_boxdia/std": 246,
+    "t_dia/delta": 93, "t_dia/eps": 93, "t_dia/std": 93,
+}
+
+
+def test_soundness_instance_counts():
+    assert {key.split("/")[0] for key in SOUNDNESS_INSTANCES} == set(REGISTRY)
+    assert sum(SOUNDNESS_INSTANCES.values()) == 25_351
+    for key, expected in SOUNDNESS_INSTANCES.items():
+        tid, variant = key.split("/")
+        report = check_soundness(tid, variant, idx_bound=2, f_bound=2)
+        assert report.passed, report.describe()
+        assert report.instances == expected, key
 
 
 def test_decide_equal_verdicts():

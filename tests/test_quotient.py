@@ -6,7 +6,7 @@ import random
 import pytest
 
 from modalcoherence import diagram as dg
-from modalcoherence.decide import random_term
+from modalcoherence.decide import mirror_term, random_term
 from modalcoherence.interp import decide_equal, interp
 from modalcoherence.quotient import (
     interp_sharp,
@@ -17,7 +17,15 @@ from modalcoherence.quotient import (
     skeleton,
 )
 from modalcoherence.schemas import SCHEMAS, instantiate
-from modalcoherence.terms import Comp, Id, TermError, parse_term, term_type
+from modalcoherence.terms import (
+    Comp,
+    Id,
+    TermError,
+    factors_to_term,
+    parse_term,
+    term_factors,
+    term_type,
+)
 from modalcoherence.theories import typecheck
 
 
@@ -63,7 +71,8 @@ def test_interp_sharp_values():
     assert (d.src_word, d.tgt_word) == ("b", "b")
     d = interp_sharp("s4_boxdia_sharp", parse_term("id{bdb}"))
     assert d.same_as(dg.rel_identity(3))
-    lhs, rhs = instantiate(SCHEMAS["commute_box_dia"], "")
+    lhs, rhs = (factors_to_term(*side)
+                for side in instantiate(SCHEMAS["commute_box_dia"], ""))
     dl = interp_sharp("s4_boxdia_sharp", lhs)
     dr = interp_sharp("s4_boxdia_sharp", rhs)
     assert sorted(dl.pairs) == [(0, 1), (1, 2)]
@@ -106,7 +115,8 @@ def test_interp_sharp_relative_faithfulness():
 def test_collapse_equations_hold_under_sharp():
     for sid in ("triv_eps_box", "triv_eps_dia"):
         for word in ("", "b", "d", "bd", "db"):
-            lhs, rhs = instantiate(SCHEMAS[sid], word)
+            lhs, rhs = (factors_to_term(*side)
+                        for side in instantiate(SCHEMAS[sid], word))
             assert bool(decide_equal("s4_boxdia_sharp", lhs, rhs)), (sid, word)
             assert bool(decide_equal("s42_sharp", lhs, rhs)), (sid, word)
 
@@ -136,7 +146,8 @@ def test_s42_sharp_contrasts():
 
 
 def test_triv_equality_is_by_type():
-    lhs, rhs = instantiate(SCHEMAS["commute_box_dia"], "")
+    lhs, rhs = (factors_to_term(*side)
+                for side in instantiate(SCHEMAS["commute_box_dia"], ""))
     assert decide_equal("s4_boxdia_sharp", lhs, rhs).verdict == "not_equal"
     assert bool(decide_equal("s4_boxdia_triv", lhs, rhs))
     for lhs, rhs in _s42_sharp_failing_pairs(""):
@@ -196,6 +207,14 @@ def test_preordering_catalog():
     for lhs, rhs in preordering_catalog("fives"):
         assert term_type(lhs) == term_type(rhs)
         assert decide_equal("fives", lhs, rhs).verdict == "not_equal"
+    # The fives catalog is the mirror image of the s5 one at the reversed
+    # word.
+    for word in ("", "b", "d", "bd", "db", "bdd"):
+        fives = preordering_catalog("fives", word)
+        s5 = preordering_catalog("s5", word[::-1])
+        for (lhs, rhs), (base_lhs, base_rhs) in zip(fives, s5, strict=True):
+            assert term_factors(lhs) == term_factors(mirror_term(base_lhs))
+            assert term_factors(rhs) == term_factors(mirror_term(base_rhs))
     with pytest.raises(TermError):
         preordering_catalog("s4_boxdia")
 

@@ -153,16 +153,19 @@ def test_prove_reproduces_comultiplication_redundancy():
         equations=tuple(e for e in REGISTRY["s5"].equations
                         if not e.startswith("assoc_")))
     for m in "bd":
-        lhs, rhs = instantiate(SCHEMAS["assoc_delta_b" + m], "")
+        lhs, rhs = (factors_to_term(*side)
+                    for side in instantiate(SCHEMAS["assoc_delta_b" + m], ""))
         result = prove_equal_bounded(reduced, lhs, rhs, depth=8)
         assert result.proved and 0 < len(result.steps) <= 8, (m, result)
-        lhs, rhs = instantiate(SCHEMAS["assoc_delta_d" + m], "")
+        lhs, rhs = (factors_to_term(*side)
+                    for side in instantiate(SCHEMAS["assoc_delta_d" + m], ""))
         result = prove_equal_bounded(reduced, lhs, rhs, depth=8)
         assert result.proved and 0 < len(result.steps) <= 8, (m, result)
 
 
 def test_prove_unknown_on_unequal_images():
-    lhs, rhs = instantiate(SCHEMAS["commute_box_dia"], "")
+    lhs, rhs = (factors_to_term(*side)
+                for side in instantiate(SCHEMAS["commute_box_dia"], ""))
     result = prove_equal_bounded("s4_boxdia", lhs, rhs, depth=8)
     assert not result.proved and result.refuted
     assert not interp("s4_boxdia", lhs).same_as(interp("s4_boxdia", rhs))

@@ -10,8 +10,10 @@ from modalcoherence.terms import (
     Gen,
     Id,
     ParseError,
+    TermError,
     TypingError,
     append_context,
+    check_word,
     dualize,
     parse_term,
     swap_word,
@@ -72,6 +74,14 @@ def test_print_parse_round_trip_random():
         t = random_term("s5", rng.choice(["", "b", "d", "bd", "db"]),
                         rng.randint(0, 6), rng)
         assert parse_term(term_to_str(t)) == t
+
+
+def test_check_word():
+    for word in ("bxd", "x", "B", "db "):
+        with pytest.raises(TermError):
+            check_word(word)
+    for word in ("", "bdb"):
+        assert check_word(word) == word
 
 
 def test_typing_table():
