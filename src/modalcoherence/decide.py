@@ -377,53 +377,92 @@ class HomResult:
         return len(self.diagrams)
 
 
-def _noncrossing_partitions(elems: list) -> list[list[list]]:
-    if not elems:
-        return [[]]
-    head, rest = elems[0], elems[1:]
-    out = []
-    # Choose the rest of head's class; the gaps between chosen members are
-    # partitioned independently, which is exactly planarity.
-    n = len(rest)
-    for mask_members in _increasing_subsets(n):
-        segments = []
-        prev = 0
-        cls = [head]
-        for m in mask_members:
-            segments.append(rest[prev:m])
-            cls.append(rest[m])
-            prev = m + 1
-        segments.append(rest[prev:])
-        partial = [[]]
-        for seg in segments:
-            partial = [p + q for p in partial for q in _noncrossing_partitions(seg)]
-        for p in partial:
-            out.append([cls] + p)
-    return out
-
-
-def _increasing_subsets(n: int) -> list[list[int]]:
-    out = [[]]
-    for first in range(n):
-        stack = [[first]]
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            for nxt in range(cur[-1] + 1, n):
-                stack.append(cur + [nxt])
-    return out
-
-
 def _enum_spliteq(theory: Theory, src: str, tgt: str) -> list[dg.SplitEq]:
-    cycle = [("s", i) for i in range(len(src) - 1, -1, -1)]
+    """The arrows of s5 or fives from ``src`` to ``tgt``: the noncrossing
+    partitions of the boundary every class of which has a head shape.
+
+    Call a source box or a target diamond *marked*.  By
+    :func:`class_shape`, a class has a shape exactly when it has one marked
+    member, its head, and in s5 the head is its lowest source or its lowest
+    target; in fives, whose shapes are the mirror images, its highest source
+    or its highest target.
+    Along the boundary cycle (sources at descending index, then targets at
+    ascending index) the s5 head is the last source or the first target of
+    its class, and the fives head is the class's first member if a source or
+    its last member if a target.
+
+    The partitions of a segment ``[lo, hi)`` of the cycle are generated by
+    choosing the class of ``lo`` one member at a time, dropping the choice
+    as soon as a member breaks the rule above, and partitioning each gap
+    between consecutive members, and the segment after the last member,
+    independently; each segment's list is made once per call.  This is the
+    recursion that generates every noncrossing partition once (planarity is
+    exactly the independence of the gaps, Kreweras 1972), and since the
+    shape rule is a condition on each class alone, pruning a class the
+    moment it breaks the rule keeps exactly the partitions a filter of every
+    noncrossing partition by shape would keep.  Only those become diagrams.
+    """
+    m = len(src)
+    cycle = [("s", i) for i in range(m - 1, -1, -1)]
     cycle += [("t", j) for j in range(len(tgt))]
-    found = []
-    for partition in _noncrossing_partitions(cycle):
-        cand = dg.spliteq(len(src), len(tgt), partition, src, tgt)
-        probe = cand if theory.id == "s5" else dg.mirror(cand)
-        if _s5_shapes_ok(probe):
-            found.append(cand)
-    return found
+    marked = [letter_at(src, i) == BOX if side == "s" else
+              letter_at(tgt, i) == DIA for side, i in cycle]
+    s5 = theory.id == "s5"
+
+    def extends(members: tuple, head: Optional[int], nxt: int) -> bool:
+        # Can ``nxt`` join the class ``members`` whose marked member is
+        # ``head``?  Sources precede targets along the cycle.
+        last = members[-1]
+        if marked[nxt] and head is not None:
+            return False
+        if s5:
+            if head == last and last < m and nxt < m:
+                return False  # a marked source followed by a source
+            return not (marked[nxt] and nxt >= m and last >= m)
+        if head == last and last >= m:
+            return False  # a marked target that is not the last member
+        return not (marked[nxt] and nxt < m)
+
+    # Each segment's partitions are computed by a generator that yields the
+    # segments it needs and is sent their partitions, so nesting depth costs
+    # no recursion.
+    def segment(lo: int, hi: int):
+        out = []
+        stack = [((lo,), lo if marked[lo] else None, ())]
+        while stack:
+            members, head, gaps = stack.pop()
+            last = members[-1]
+            for nxt in range(last + 1, hi):
+                if extends(members, head, nxt) and (yield (last + 1, nxt)):
+                    stack.append((members + (nxt,),
+                                  nxt if marked[nxt] else head,
+                                  gaps + ((last + 1, nxt),)))
+            if head is None:
+                continue  # a class needs its marked member
+            rest = yield (last + 1, hi)
+            for parts in itertools.product(*(memo[g] for g in gaps), rest):
+                out.append((members,) + tuple(itertools.chain(*parts)))
+        return out
+
+    whole = (0, len(cycle))
+    memo: dict[tuple[int, int], list] = {
+        (k, k): [()] for k in range(len(cycle) + 1)}
+    pending = [] if whole in memo else [(whole, segment(*whole))]
+    reply = None
+    while pending:
+        key, gen = pending[-1]
+        try:
+            need = gen.send(reply)
+        except StopIteration as done:
+            memo[key] = reply = done.value
+            pending.pop()
+            continue
+        reply = memo.get(need)
+        if reply is None:
+            pending.append((need, segment(*need)))
+    return [dg.spliteq(m, len(tgt), ([cycle[p] for p in cls] for cls in part),
+                       src, tgt)
+            for part in memo[whole]]
 
 
 def _enum_rel_structural(theory: Theory, src: str, tgt: str) -> Optional[list[dg.RelDiagram]]:

@@ -20,6 +20,7 @@ from .terms import (
     ArrowTerm,
     BOX,
     Comp,
+    DIA,
     Factor,
     Gen,
     Id,
@@ -27,7 +28,6 @@ from .terms import (
     chain_target,
     check_word,
     factors_to_term,
-    term_factors,
     word_to_str,
 )
 from .theories import SHARP, Theory, get_theory, typecheck, typed_factors
@@ -43,34 +43,51 @@ def sharp(word: str) -> str:
     return "".join(out)
 
 
-def j_arrow(word: str) -> ArrowTerm:
-    """The canonical arrow from a word to its collapsed form."""
+# Each collapse arrow is built one letter at a time, from the left: where a
+# letter differs from the next one it stays as an operator around the rest;
+# where the two are equal, a generator (kind, offset of its index word) removes
+# or restores the repeat.
+_COLLAPSE = {BOX: ("eps_box", 1), DIA: ("delta_dd", 2)}
+_EXPAND = {BOX: ("delta_bb", 2), DIA: ("eps_dia", 1)}
+
+
+def _collapse_term(word: str, table: dict, gen_first: bool) -> ArrowTerm:
     check_word(word)
     if not word:
         raise TermError("the collapse arrows are defined for nonempty words")
-    if len(word) == 1:
-        return Id(word)
-    tail = j_arrow(word[1:])
-    if word[0] != word[1]:
-        return App(word[0], tail)
-    if word[0] == BOX:
-        return Comp(tail, Gen("eps_box", word[1:]))
-    return Comp(tail, Gen("delta_dd", word[2:]))
+    term: ArrowTerm = Id(word[-1])
+    for k in reversed(range(len(word) - 1)):
+        if word[k] != word[k + 1]:
+            term = App(word[k], term)
+            continue
+        kind, offset = table[word[k]]
+        gen = Gen(kind, word[k + offset:])
+        term = Comp(term, gen) if gen_first else Comp(gen, term)
+    return term
+
+
+def _collapse_factors(word: str, table: dict) -> list[Factor]:
+    """The generators of :func:`_collapse_term`, outermost letter first,
+    each under the operators kept to its left."""
+    prefix = ""
+    factors = []
+    for k in range(len(word) - 1):
+        if word[k] != word[k + 1]:
+            prefix += word[k]
+        else:
+            kind, offset = table[word[k]]
+            factors.append(Factor(prefix, kind, word[k + offset:]))
+    return factors
+
+
+def j_arrow(word: str) -> ArrowTerm:
+    """The canonical arrow from a word to its collapsed form."""
+    return _collapse_term(word, _COLLAPSE, gen_first=True)
 
 
 def j_inv(word: str) -> ArrowTerm:
     """The canonical arrow from the collapsed form back to the word."""
-    check_word(word)
-    if not word:
-        raise TermError("the collapse arrows are defined for nonempty words")
-    if len(word) == 1:
-        return Id(word)
-    tail = j_inv(word[1:])
-    if word[0] != word[1]:
-        return App(word[0], tail)
-    if word[0] == BOX:
-        return Comp(Gen("delta_bb", word[2:]), tail)
-    return Comp(Gen("eps_dia", word[1:]), tail)
+    return _collapse_term(word, _EXPAND, gen_first=False)
 
 
 def interp_sharp(theory: "Theory | str", term: ArrowTerm) -> dg.RelDiagram:
@@ -87,10 +104,10 @@ def sharp_image(theory: Theory, src: str, tgt: str,
     """:func:`interp_sharp` of a typed factor list."""
     from .interp import STD, fold
 
-    conjugated = term_factors(j_inv(src))[2] if src else []
+    # The factors of j_inv(src), then the arrow, then those of j_arrow(tgt).
+    conjugated = _collapse_factors(src, _EXPAND)[::-1]
     conjugated += factors
-    if tgt:
-        conjugated += term_factors(j_arrow(tgt))[2]
+    conjugated += _collapse_factors(tgt, _COLLAPSE)
     image = fold(theory.base.target, STD, sharp(src), conjugated)
     return dg.RelDiagram(image.src_len, image.tgt_len, image.pairs,
                          sharp(src), sharp(tgt))

@@ -55,6 +55,14 @@ def test_eq_sharp_contrast(capsys):
     assert code == 0
 
 
+def test_eq_sharp_on_long_words(capsys):
+    # The collapse arrows of a 1,500-letter word used to recurse per letter.
+    term = "id{" + "b" * 1500 + "}"
+    code, out, err = invoke(capsys, "eq", "--theory", "s4_boxdia_sharp",
+                            term, term)
+    assert code == 0 and out.strip() == "equal", err
+
+
 def test_interp_json(capsys):
     code, out, _ = invoke(capsys, "interp", "--theory", "s5",
                           "--format", "json", "box(delta_db{e}) . delta_bd{b}")

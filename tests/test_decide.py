@@ -1,5 +1,6 @@
 """Realizability, synthesis, hom enumeration, and the mirror isomorphism."""
 
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from modalcoherence.decide import (
     HomQuery,
     SYNTHESIS_THEORIES,
     SynthesisError,
+    _enum_spliteq,
     enum_hom,
     mirror_term,
     random_term,
@@ -20,6 +22,7 @@ from modalcoherence.interp import decide_equal, interp
 from modalcoherence.rewrite import normalize
 from modalcoherence.simplicial import finmap
 from modalcoherence.terms import parse_term, rev_word, term_type
+from modalcoherence.theories import get_theory
 
 
 def S(i):
@@ -154,6 +157,59 @@ def test_enum_hom_spliteq_matches_term_search():
                 searched.add(interp("s5", t).key())
         assert searched <= structural
         assert searched == structural, (src, tgt)
+
+
+def _set_partitions(elems):
+    """Every set partition of ``elems``, noncrossing or not."""
+    if not elems:
+        yield []
+        return
+    head, rest = elems[0], elems[1:]
+    for part in _set_partitions(rest):
+        yield [[head]] + part
+        for k in range(len(part)):
+            yield part[:k] + [[head] + part[k]] + part[k + 1:]
+
+
+def _boundary_partitions(m, n):
+    boundary = [S(i) for i in range(m)] + [T(j) for j in range(n)]
+    every = (dg.spliteq(m, n, part) for part in _set_partitions(boundary))
+    return [d for d in every if dg.is_noncrossing(d)]
+
+
+def test_enum_hom_spliteq_matches_brute_force():
+    # Every split equivalence of the boundary, kept when it is noncrossing
+    # and realizable, for every word pair with at most six boundary points.
+    for points in range(7):
+        for m in range(points + 1):
+            n = points - m
+            shapes = _boundary_partitions(m, n)
+            for src in map("".join, itertools.product("bd", repeat=m)):
+                for tgt in map("".join, itertools.product("bd", repeat=n)):
+                    labelled = [dg.SplitEq(m, n, d.classes, src, tgt)
+                                for d in shapes]
+                    for tid in ("s5", "fives"):
+                        brute = sorted(d.key() for d in labelled
+                                       if realizable(tid, d))
+                        got = [d.key() for d in
+                               enum_hom(HomQuery(tid, src, tgt)).diagrams]
+                        assert got == brute, (tid, src, tgt)
+
+
+def test_enum_hom_spliteq_counts():
+    for word, count in (("bdbd", 23), ("bdbdb", 90), ("bdbdbd", 336),
+                        ("bdbdbdb", 1377)):
+        for tid in ("s5", "fives"):
+            result = enum_hom(HomQuery(tid, word, word))
+            assert result.complete
+            assert len(result) == count, (tid, word)
+
+
+def test_enum_spliteq_on_long_words():
+    # Segments nest once per boundary point; the generator must not recurse.
+    for tid, src, tgt in (("s5", "b" * 1500, ""), ("fives", "", "d" * 1500)):
+        (only,) = _enum_spliteq(get_theory(tid), src, tgt)
+        assert all(len(cls) == 1 for cls in only.classes)
 
 
 def test_mirror_term_examples():

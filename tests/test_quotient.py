@@ -18,7 +18,9 @@ from modalcoherence.quotient import (
 )
 from modalcoherence.schemas import SCHEMAS, instantiate
 from modalcoherence.terms import (
+    App,
     Comp,
+    Gen,
     Id,
     TermError,
     factors_to_term,
@@ -63,6 +65,62 @@ def test_j_arrows_mutually_inverse_in_sharp():
         assert bool(decide_equal("s4_boxdia_sharp", Comp(fwd, back),
                                  Id(sharp(word))))
         assert bool(decide_equal("s4_boxdia_sharp", Comp(back, fwd), Id(word)))
+
+
+def _j_arrow_recursive(word):
+    """The recursive definition of ``j_arrow``, kept as the reference."""
+    if len(word) == 1:
+        return Id(word)
+    tail = _j_arrow_recursive(word[1:])
+    if word[0] != word[1]:
+        return App(word[0], tail)
+    if word[0] == "b":
+        return Comp(tail, Gen("eps_box", word[1:]))
+    return Comp(tail, Gen("delta_dd", word[2:]))
+
+
+def _j_inv_recursive(word):
+    """The recursive definition of ``j_inv``, kept as the reference."""
+    if len(word) == 1:
+        return Id(word)
+    tail = _j_inv_recursive(word[1:])
+    if word[0] != word[1]:
+        return App(word[0], tail)
+    if word[0] == "b":
+        return Comp(Gen("delta_bb", word[2:]), tail)
+    return Comp(Gen("eps_dia", word[1:]), tail)
+
+
+def test_j_arrows_match_recursive_definitions():
+    for n in range(1, 9):
+        for letters in itertools.product("bd", repeat=n):
+            word = "".join(letters)
+            assert j_arrow(word) == _j_arrow_recursive(word)
+            assert j_inv(word) == _j_inv_recursive(word)
+
+
+def test_interp_sharp_is_the_image_of_the_conjugated_term():
+    # sharp_image builds the factors of the collapse arrows directly; the
+    # result must be the base image of the term conjugated by them.
+    rng = random.Random(71)
+    for _ in range(80):
+        src = rng.choice(["", "b", "d", "bb", "dd", "bbd", "ddbb", "bdbbd"])
+        for tid in ("s4_boxdia", "s42"):
+            f = random_term(tid, src, rng.randint(0, 5), rng)
+            a, b = term_type(f)
+            conj = Comp(j_arrow(b), f) if b else f
+            conj = Comp(conj, j_inv(a)) if a else conj
+            assert interp_sharp(tid + "_sharp", f).same_as(interp(tid, conj))
+
+
+def test_collapse_arrows_on_long_words():
+    word = "b" * 1500
+    assert term_type(j_arrow(word)) == (word, "b")
+    assert term_type(j_inv(word)) == ("b", word)
+    assert bool(decide_equal("s4_boxdia_sharp", Id(word), Id(word)))
+    mixed = "bbd" * 500
+    assert term_type(j_arrow(mixed)) == (mixed, sharp(mixed))
+    assert term_type(j_inv(mixed)) == (sharp(mixed), mixed)
 
 
 def test_interp_sharp_values():
