@@ -19,12 +19,13 @@ from random import Random
 from typing import Optional
 
 from . import diagram as dg
-from .interp import STD, factor_image, interp
+from .interp import STD, fold, interp
 from .terms import (
     ArrowTerm,
     App,
     BOX,
     DIA,
+    DUAL_KIND,
     Factor,
     GENERATORS,
     Gen,
@@ -36,7 +37,6 @@ from .terms import (
     map_term,
     rev_word,
     swap_word,
-    term_factors,
 )
 from .theories import GEN, STAGES, Theory, applicable_factors, get_theory
 
@@ -268,7 +268,8 @@ def _synth_s5(d: dg.SplitEq) -> list[Factor]:
     d1 = dg.spliteq(d.src_len, len(both), stage1_classes, src, mid_word)
     factors = _synth_reduce_stage(d1)
     # Stage two: grow the middle word out to the target, built as the dual of
-    # a reduce stage.
+    # a reduce stage: the dual of a factor chain is the reversed chain of
+    # dual factors, with every word letter-swapped.
     stage2_classes = []
     for strand, (base, cls) in enumerate(both):
         members = [("t", j) for side, j in cls if side == "t"]
@@ -278,9 +279,9 @@ def _synth_s5(d: dg.SplitEq) -> list[Factor]:
         if not any(side == "s" for side, _ in cls):
             stage2_classes.append(list(cls))
     d2 = dg.spliteq(len(both), d.tgt_len, stage2_classes, mid_word, tgt)
-    dual_term = factors_to_term(swap_word(tgt),
-                                _synth_reduce_stage(_dualized(d2)))
-    _, _, stage2_factors = term_factors(dualize(dual_term))
+    stage2_factors = [
+        Factor(swap_word(f.prefix), DUAL_KIND[f.kind], swap_word(f.index))
+        for f in reversed(_synth_reduce_stage(_dualized(d2)))]
     return factors + stage2_factors
 
 
@@ -300,9 +301,12 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
         raise SynthesisError(
             f"theory {theory.id} has no {type(d).__name__} diagrams")
     if theory.id in _SYNTH_BY_DUAL:
-        term = dualize(synthesize(_SYNTH_BY_DUAL[theory.id], _dualized(d)))
+        dual = _dualized(d)
+        term = dualize(factors_to_term(dual.src_word, _synth_staged(
+            get_theory(_SYNTH_BY_DUAL[theory.id]), dual)))
     elif theory.id == "fives":
-        term = mirror_term(synthesize("s5", dg.mirror(d)), source="s5")
+        term = factors_to_term(src, [mirror_factor(f, source="s5")
+                                     for f in _synth_s5(dg.mirror(d))])
     elif theory.id == "s5":
         term = factors_to_term(src, _synth_s5(d))
     elif theory.id in SYNTHESIS_THEORIES:
@@ -465,8 +469,17 @@ def _enum_spliteq(theory: Theory, src: str, tgt: str) -> list[dg.SplitEq]:
             for part in memo[whole]]
 
 
-def _enum_rel_structural(theory: Theory, src: str, tgt: str) -> Optional[list[dg.RelDiagram]]:
+def _enum_rel_structural(theory: Theory, src: str, tgt: str
+                         ) -> Optional[list[tuple[dg.RelDiagram, ArrowTerm]]]:
+    """The arrows of a relational theory whose image has an exact structural
+    characterization, each with its witness term; None for the others.
+    Every candidate is synthesized once, and it is an arrow exactly when
+    synthesis succeeds."""
     m, n = len(src), len(tgt)
+    if theory.id in _SYNTH_BY_DUAL:
+        dual = get_theory(_SYNTH_BY_DUAL[theory.id])
+        inner = _enum_rel_structural(dual, swap_word(tgt), swap_word(src))
+        return [(_dualized(found), dualize(term)) for found, term in inner]
     if theory.id in ("s4_dia", "t_dia", "k4_dia", "s4_dia_chi"):
         if theory.id == "s4_dia":
             value_iter = itertools.combinations_with_replacement(range(n), m)
@@ -478,24 +491,20 @@ def _enum_rel_structural(theory: Theory, src: str, tgt: str) -> Optional[list[dg
                           if len(set(v)) == n)
         else:
             value_iter = itertools.product(range(n), repeat=m)
-        out = []
-        for values in value_iter:
-            cand = dg.rel(m, n, ((i, values[i]) for i in range(m)), src, tgt)
-            if realizable(theory, cand):
-                out.append(cand)
-        return out
-    if theory.id == "s_chi":
-        out = []
-        for chosen in itertools.permutations(range(m), n):
-            cand = dg.rel(m, n, ((chosen[j], j) for j in range(n)), src, tgt)
-            if realizable(theory, cand):
-                out.append(cand)
-        return out
-    if theory.id in ("s4_box", "t_box", "k4_box"):
-        dual = get_theory(_SYNTH_BY_DUAL.get(theory.id, theory.id))
-        inner = _enum_rel_structural(dual, swap_word(tgt), swap_word(src))
-        return [_dualized(found) for found in inner]
-    return None
+        candidates = (dg.rel(m, n, ((i, values[i]) for i in range(m)), src, tgt)
+                      for values in value_iter)
+    elif theory.id == "s_chi":
+        candidates = (dg.rel(m, n, ((chosen[j], j) for j in range(n)), src, tgt)
+                      for chosen in itertools.permutations(range(m), n))
+    else:
+        return None
+    out = []
+    for cand in candidates:
+        try:
+            out.append((cand, synthesize(theory, cand)))
+        except SynthesisError:
+            pass
+    return out
 
 
 def enum_hom(q: HomQuery) -> HomResult:
@@ -509,53 +518,50 @@ def enum_hom(q: HomQuery) -> HomResult:
         raise TermError(
             f"{theory.id} is a preorder; hom-sets have no diagram enumeration")
     result = HomResult(q)
-    if theory.target == "gen" and theory.quotient is None:
-        for d in _enum_spliteq(theory, q.src, q.tgt):
-            result.diagrams.append(d)
-            result.witnesses[d.key()] = synthesize(theory, d)
+    arrows = None
+    if theory.quotient is None and theory.target == "gen":
+        arrows = [(d, synthesize(theory, d))
+                  for d in _enum_spliteq(theory, q.src, q.tgt)]
+    elif theory.quotient is None and theory.target == "rel":
+        arrows = _enum_rel_structural(theory, q.src, q.tgt)
+    if arrows is None:
+        result.complete = False
+        _bounded_search(theory, q, result)
     else:
-        structural = None
-        if theory.quotient is None and theory.target == "rel":
-            structural = _enum_rel_structural(theory, q.src, q.tgt)
-        if structural is not None:
-            for d in structural:
-                result.diagrams.append(d)
-                result.witnesses[d.key()] = synthesize(theory, d)
-        else:
-            result.complete = False
-            _bounded_search(theory, q, result)
+        for d, term in arrows:
+            result.diagrams.append(d)
+            result.witnesses[d.key()] = term
     result.diagrams.sort(key=lambda d: d.key())
     return result
 
 
 def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
-    """Breadth-first image search over (word, diagram) states."""
+    """Breadth-first image search over (word, diagram) states, each reached
+    by a path of at most ``witness_budget`` factors that is folded whole."""
     base = theory.base
     slack = 2
     max_len = max(len(q.src), len(q.tgt)) + slack
     start = dg.identity_diagram(base.target, len(q.src), q.src)
-    states = {(q.src, start.key()): (start, [])}
-    frontier = list(states.items())
+    states = {(q.src, start.key())}
+    frontier: list[tuple[str, list[Factor]]] = [(q.src, [])]
     found: dict[tuple, ArrowTerm] = {}
     if q.src == q.tgt:
         found[start.key()] = Id(q.src)
     for _ in range(q.witness_budget):
         grown = []
-        for (word, _key), (diag, path) in frontier:
+        for word, path in frontier:
             for factor in applicable_factors(base, word):
                 new_word = factor.tgt
                 if len(new_word) > max_len:
                     continue
-                step = factor_image(base.target, STD, factor)
-                new_diag = dg.compose(step, diag)
-                key = (new_word, new_diag.key())
-                if key in states:
-                    continue
                 new_path = path + [factor]
-                states[key] = (new_diag, new_path)
-                grown.append((key, (new_diag, new_path)))
-                if new_word == q.tgt and new_diag.key() not in found:
-                    found[new_diag.key()] = factors_to_term(q.src, new_path)
+                key = fold(base.target, STD, q.src, new_path).key()
+                if (new_word, key) in states:
+                    continue
+                states.add((new_word, key))
+                grown.append((new_word, new_path))
+                if new_word == q.tgt and key not in found:
+                    found[key] = factors_to_term(q.src, new_path)
         frontier = grown
     for key, term in sorted(found.items()):
         diag = interp(theory, term)

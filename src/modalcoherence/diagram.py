@@ -9,6 +9,10 @@ A split equivalence is a partition of the disjoint union of the source and
 target ordinals.  Composition unions the two partitions over the shared
 middle ordinal, closes transitively, and deletes the middle elements;
 classes that end up entirely in the middle disappear.
+
+Composition of either carrier is one algorithm, :func:`fold`, over a table
+of strands; composing two diagrams and interpreting a chain of factors are
+both folds of steps.
 """
 
 from __future__ import annotations
@@ -65,18 +69,6 @@ def rel(src_len: int, tgt_len: int, pairs: Iterable[tuple[int, int]],
 
 def rel_identity(n: int, word: Optional[str] = None) -> RelDiagram:
     return rel(n, n, ((i, i) for i in range(n)), word, word)
-
-
-def rel_compose(g: RelDiagram, f: RelDiagram) -> RelDiagram:
-    """Relational composite of f followed by g."""
-    if f.tgt_len != g.src_len:
-        raise DiagramError(
-            f"cannot compose: middle lengths {f.tgt_len} != {g.src_len}")
-    by_mid: dict[int, list[int]] = {}
-    for j, k in g.pairs:
-        by_mid.setdefault(j, []).append(k)
-    pairs = {(i, k) for i, j in f.pairs for k in by_mid.get(j, ())}
-    return rel(f.src_len, g.tgt_len, pairs, f.src_word, g.tgt_word)
 
 
 @dataclass(frozen=True)
@@ -141,52 +133,114 @@ def spliteq_identity(n: int, word: Optional[str] = None) -> SplitEq:
     return spliteq(n, n, ([("s", i), ("t", i)] for i in range(n)), word, word)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-
-def spliteq_compose(g: SplitEq, f: SplitEq) -> SplitEq:
-    """Compose f then g: transitive closure over the middle, middle deleted."""
-    if f.tgt_len != g.src_len:
-        raise DiagramError(
-            f"cannot compose: middle lengths {f.tgt_len} != {g.src_len}")
-    uf = _UnionFind()
-    # Elements are tagged ("s",i) source of f, ("m",k) middle, ("t",j) target
-    # of g; classes entirely inside the middle are simply never emitted.
-    for cls in f.classes:
-        tagged = [("s", i) if side == "s" else ("m", i) for side, i in cls]
-        for elem in tagged[1:]:
-            uf.union(tagged[0], elem)
-    for cls in g.classes:
-        tagged = [("m", i) if side == "s" else ("t", i) for side, i in cls]
-        for elem in tagged[1:]:
-            uf.union(tagged[0], elem)
-    groups: dict = {}
-    for i in range(f.src_len):
-        groups.setdefault(uf.find(("s", i)), []).append(("s", i))
-    for j in range(g.tgt_len):
-        groups.setdefault(uf.find(("t", j)), []).append(("t", j))
-    return spliteq(f.src_len, g.tgt_len, groups.values(), f.src_word, g.tgt_word)
-
-
 # ---------------------------------------------------------------------------
 # Generic operations on both carriers
 
 
 def identity_diagram(kind: str, n: int, word: Optional[str] = None) -> Diagram:
     return rel_identity(n, word) if kind == "rel" else spliteq_identity(n, word)
+
+
+# A step (n, s, t, links, above) replaces s strands by t new ones, above n
+# strands that pass straight through below it and below ``above`` strands
+# that pass straight through above it.  Each link is written with offsets
+# from n, so a negative offset names a strand below the step, which keeps its
+# place.  A relational link is a (source, target) pair, and a link that falls
+# below strand 0 is left out.  A split-equivalence link is a partition class
+# of ("s", offset) and ("t", offset) elements.  So a diagram is the step
+# (0, src_len, tgt_len, pairs or classes, 0).
+Step = tuple[int, int, int, Iterable, int]
+
+
+def fold(kind: str, width: int, steps: Iterable[Step],
+         src_word: Optional[str] = None,
+         tgt_word: Optional[str] = None) -> Diagram:
+    """Composite of the steps, in application order, starting from the
+    identity on ``width`` strands: a relation when ``kind`` is "rel", a split
+    equivalence otherwise.
+
+    The steps are applied in turn to a strand table with one entry per
+    current target strand; each step must start on as many strands as the
+    steps before it end on.  For a relation, entry k is the set of source
+    strands related to target strand k, as a bit mask.  For a split
+    equivalence, source strand i carries label i and entry k the label of
+    target strand k; labels are merged by a union-find over integers.  A
+    class joins the labels of its source elements (or takes a fresh label
+    when it has none) and hands the result to its target elements, so a
+    class that ends up entirely in the middle keeps no boundary element and
+    never shows in the final grouping.  One diagram is built at the end,
+    through the public constructor, so it is validated and put in canonical
+    form once per fold.
+    """
+    is_rel = kind == "rel"
+    if is_rel:
+        table = [1 << i for i in range(width)]
+    else:
+        table, parent = list(range(width)), list(range(width))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for n, s, t, links, above in steps:
+        if n + s + above != len(table):
+            raise DiagramError(f"cannot compose: middle lengths {len(table)} "
+                               f"!= {n + s + above}")
+        new = [0] * t
+        if is_rel:
+            for i, k in links:
+                if min(i, k) + n < 0:
+                    continue
+                if k >= 0:
+                    new[k] |= table[n + i]
+                else:
+                    table[n + k] |= table[n + i]
+        else:
+            for cls in links:
+                root = -1
+                for side, k in cls:
+                    if side == "s":
+                        label = find(table[n + k])
+                        if root < 0:
+                            root = label
+                        elif label != root:
+                            parent[label] = root
+                if root < 0:
+                    root = len(parent)
+                    parent.append(root)
+                for side, k in cls:
+                    if side == "t":
+                        new[k] = root
+        table[n:n + s] = new
+    if is_rel:
+        pairs = []
+        for k, mask in enumerate(table):
+            while mask:
+                low = mask & -mask
+                pairs.append((low.bit_length() - 1, k))
+                mask ^= low
+        return rel(width, len(table), pairs, src_word, tgt_word)
+    groups: dict[int, list[Elem]] = {}
+    for i in range(width):
+        groups.setdefault(find(i), []).append(("s", i))
+    for j, label in enumerate(table):
+        groups.setdefault(find(label), []).append(("t", j))
+    return spliteq(width, len(table), groups.values(), src_word, tgt_word)
+
+
+def rel_compose(g: RelDiagram, f: RelDiagram) -> RelDiagram:
+    """Relational composite of f followed by g."""
+    return fold("rel", f.src_len, [(0, f.src_len, f.tgt_len, f.pairs, 0),
+                                   (0, g.src_len, g.tgt_len, g.pairs, 0)],
+                f.src_word, g.tgt_word)
+
+
+def spliteq_compose(g: SplitEq, f: SplitEq) -> SplitEq:
+    """Compose f then g: transitive closure over the middle, middle deleted."""
+    return fold("gen", f.src_len, [(0, f.src_len, f.tgt_len, f.classes, 0),
+                                   (0, g.src_len, g.tgt_len, g.classes, 0)],
+                f.src_word, g.tgt_word)
 
 
 def compose(g: Diagram, f: Diagram) -> Diagram:
@@ -241,25 +295,22 @@ def is_noncrossing(d: SplitEq) -> bool:
 
     Two classes cross exactly when they interleave (pattern x y x y) along
     the boundary cycle; interleaving is invariant under rotating the cycle,
-    so checking one linear cut of the cycle is sufficient.
+    so one linear cut of the cycle is scanned.  Each class goes on a stack at
+    its first member and comes off at its last; the classes do not cross
+    exactly when every member after a class's first finds its class on top.
     """
-    position = {elem: k for k, elem in enumerate(boundary_cycle(d))}
-    labelled = sorted(
-        (position[elem], num)
-        for num, cls in enumerate(d.classes)
-        for elem in cls
-    )
-    sequence = [num for _, num in labelled]
-    for a in range(len(d.classes)):
-        for b in range(a + 1, len(d.classes)):
-            runs: list[int] = []
-            for num in sequence:
-                if num in (a, b) and (not runs or runs[-1] != num):
-                    runs.append(num)
-            if len(runs) > 2 and runs[0] == runs[-1]:
-                runs.pop()  # the cycle joins the first and last run
-            if len(runs) >= 4:
-                return False
+    num_of = {elem: num for num, cls in enumerate(d.classes) for elem in cls}
+    left = [len(cls) for cls in d.classes]
+    stack: list[int] = []
+    for elem in boundary_cycle(d):
+        num = num_of[elem]
+        if left[num] == len(d.classes[num]):
+            stack.append(num)
+        elif stack[-1] != num:
+            return False
+        left[num] -= 1
+        if not left[num]:
+            stack.pop()
     return True
 
 
@@ -331,26 +382,40 @@ def to_json(d: Diagram) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _parse_count(value) -> int:
+    # JSON booleans are ints in Python, and a float index must not be
+    # truncated, so only a plain non-negative int is accepted.
+    if type(value) is not int or value < 0:
+        raise DiagramError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _parse_word_label(value) -> Optional[str]:
     if value is None:
         return None
-    return "" if value == "e" else value
+    word = "" if value == "e" else value
+    if not isinstance(word, str) or word.strip("bd"):
+        raise DiagramError(f"bad modality word label {value!r}")
+    return word
 
 
 def from_json(text: str) -> Diagram:
+    """Parse :func:`to_json` output; any malformed field is a DiagramError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"malformed JSON: {exc}") from exc
     try:
-        src, tgt, kind = payload["src"], payload["tgt"], payload["kind"]
+        kind = payload["kind"]
+        src, tgt = _parse_count(payload["src"]), _parse_count(payload["tgt"])
         src_word = _parse_word_label(payload.get("src_word"))
         tgt_word = _parse_word_label(payload.get("tgt_word"))
         if kind == "rel":
-            pairs = [(int(i), int(j)) for i, j in payload["pairs"]]
+            pairs = [(_parse_count(i), _parse_count(j))
+                     for i, j in payload["pairs"]]
             return rel(src, tgt, pairs, src_word, tgt_word)
         if kind == "spliteq":
-            classes = [[(side, int(i)) for side, i in cls]
+            classes = [[(side, _parse_count(i)) for side, i in cls]
                        for cls in payload["classes"]]
             return spliteq(src, tgt, classes, src_word, tgt_word)
     except (KeyError, TypeError, ValueError) as exc:

@@ -76,12 +76,10 @@ def check_variant(theory: Theory, variant: str) -> None:
     raise VariantError(f"unknown functor variant {variant!r}")
 
 
-# Per-factor clauses as data.  A generator kind maps to (s, t, links): the
-# generator spans s source and t target strands above the n strands of its
-# index word, which pass straight through, and each link is written with
-# offsets from n.  A relational link is a (source, target) pair; a link that
-# falls below strand 0 is left out.  A split-equivalence link is a partition
-# class of ("s", offset) and ("t", offset) elements.
+# Per-factor clauses as data.  A generator kind maps to (s, t, links), the
+# middle of a ``diagram.fold`` step: the generator spans s source and t
+# target strands above the n strands of its index word, which pass straight
+# through, and its links are written with offsets from n.
 _CHI = (2, 2, ((0, 1), (1, 0)))
 _REL_STD = {
     "eps_box": (1, 0, ()),
@@ -116,126 +114,27 @@ _CLAUSES = {
 }
 
 
-def factor_image(target: str, variant: str, factor: Factor) -> dg.Diagram:
-    """Image of one factor: its generator's clause above the strands of its
-    index word, widened by one through-strand per operator of its prefix.
-    The diagram carries the factor's words, except under the dual functor."""
-    return fold(target, variant, factor.src, [factor])
-
-
 def fold(target: str, variant: str, src: str,
          factors: list[Factor]) -> dg.Diagram:
     """Composite of the factors' images, in application order; the identity
     on ``src`` when there are no factors.
 
-    The factors' clauses are applied in turn to a strand table with one
-    entry per current target strand, starting from the identity on the
-    source strands.  A factor with an index word of n letters and a clause
-    spanning s source strands replaces entries n..n+s-1 by its t new ones;
-    the strands below (index) and above (prefix) pass through unchanged.
-    One diagram is built at the end, through the public constructor, so it
-    is validated and put in canonical form once per fold.  The composite
-    carries the first factor's source word and the last factor's target
-    word, except under the dual functor, whose strands outnumber the letters
-    by one.
+    Each factor is one step of :func:`diagram.fold`: its clause, above the
+    strands of its index word and below those of its prefix.  The composite
+    carries ``src`` and the last factor's target word, except under the dual
+    functor, whose strands outnumber the letters by one.
     """
-    width = len(src) + 1 if variant == DUAL else len(src)
-    if not factors:
-        if variant == DUAL:
-            return dg.identity_diagram(target, width)
-        return dg.identity_diagram(target, width, src)
     clauses = _CLAUSES[target, variant]
-    words = (None, None) if variant == DUAL else (factors[0].src, factors[-1].tgt)
-    if target == REL:
-        return _fold_rel(clauses, variant, width, factors, words)
-    return _fold_spliteq(clauses, variant, width, factors, words)
-
-
-def _clause(clauses: dict, variant: str, factor: Factor,
-            strands: int) -> tuple[int, int, tuple, int]:
-    """The factor's clause and index length, checked against the number of
-    strands the factors before it end on."""
     try:
-        s, t, links = clauses[factor.kind]
-    except KeyError:
+        steps = [(len(f.index), *clauses[f.kind], len(f.prefix))
+                 for f in factors]
+    except KeyError as exc:
         raise VariantError(
-            f"no {variant} clause for generator {factor.kind}") from None
-    n = len(factor.index)
-    if n + s + len(factor.prefix) != strands:
-        raise dg.DiagramError(f"cannot compose: middle lengths {strands} "
-                              f"!= {n + s + len(factor.prefix)}")
-    return s, t, links, n
-
-
-def _fold_rel(clauses: dict, variant: str, width: int,
-              factors: list[Factor], words: tuple) -> dg.RelDiagram:
-    # Entry k: the set of source strands related to target strand k, as a
-    # bit mask.  A link (i, k) relates old strand n + i to new strand n + k.
-    # A link to a strand below the clause (the delta variant's counits)
-    # lands on that index strand, which keeps its entry, and a link below
-    # strand 0 is dropped.
-    table = [1 << i for i in range(width)]
-    for factor in factors:
-        s, t, links, n = _clause(clauses, variant, factor, len(table))
-        new = [0] * t
-        for i, k in links:
-            if min(i, k) + n < 0:
-                continue
-            if k >= 0:
-                new[k] |= table[n + i]
-            else:
-                table[n + k] |= table[n + i]
-        table[n:n + s] = new
-    pairs = []
-    for k, mask in enumerate(table):
-        while mask:
-            low = mask & -mask
-            pairs.append((low.bit_length() - 1, k))
-            mask ^= low
-    return dg.rel(width, len(table), pairs, *words)
-
-
-def _fold_spliteq(clauses: dict, variant: str, width: int,
-                  factors: list[Factor], words: tuple) -> dg.SplitEq:
-    # Source strand i carries label i, and entry k of the table the label of
-    # target strand k; labels are merged by a union-find over integers.  A
-    # clause class joins the labels of its source elements (or takes a
-    # fresh label when it has none) and hands the result to its target
-    # elements.  A class that ends up entirely in the middle keeps no
-    # boundary element, so it simply never shows in the final grouping.
-    parent = list(range(width))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    table = list(range(width))
-    for factor in factors:
-        s, t, links, n = _clause(clauses, variant, factor, len(table))
-        new = [0] * t
-        for cls in links:
-            root = -1
-            for side, k in cls:
-                if side == "s":
-                    label = find(table[n + k])
-                    if root < 0:
-                        root = label
-                    elif label != root:
-                        parent[label] = root
-            if root < 0:
-                root = len(parent)
-                parent.append(root)
-            for side, k in cls:
-                if side == "t":
-                    new[k] = root
-        table[n:n + s] = new
-    groups: dict[int, list[dg.Elem]] = {}
-    for i in range(width):
-        groups.setdefault(find(i), []).append(("s", i))
-    for j, label in enumerate(table):
-        groups.setdefault(find(label), []).append(("t", j))
-    return dg.spliteq(width, len(table), groups.values(), *words)
+            f"no {variant} clause for generator {exc.args[0]}") from None
+    if variant == DUAL:
+        return dg.fold(target, len(src) + 1, steps)
+    return dg.fold(target, len(src), steps, src,
+                   factors[-1].tgt if factors else src)
 
 
 def _image(theory: Theory, variant: str, src: str, tgt: str,

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -210,6 +211,16 @@ def test_enum_spliteq_on_long_words():
     for tid, src, tgt in (("s5", "b" * 1500, ""), ("fives", "", "d" * 1500)):
         (only,) = _enum_spliteq(get_theory(tid), src, tgt)
         assert all(len(cls) == 1 for cls in only.classes)
+
+
+def test_enum_hom_long_word_synthesizes_in_linear_time():
+    # One arrow, whose witness is checked for planarity once.  A check of
+    # every pair of classes against the whole boundary (cubic) took about
+    # ten seconds here; a linear scan takes a fraction of one.
+    start = time.perf_counter()
+    result = enum_hom(HomQuery("s5", "b" * 600, ""))
+    assert time.perf_counter() - start < 5
+    assert result.complete and len(result) == 1
 
 
 def test_mirror_term_examples():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import compose_reference as ref
 from modalcoherence import diagram as dg
 from modalcoherence.diagram import DiagramError
 
@@ -139,6 +140,42 @@ def test_noncrossing():
     assert dg.is_noncrossing(dg.spliteq(2, 2, [[S(0), S(1), T(0), T(1)]]))
 
 
+def _is_noncrossing_pairwise(d):
+    """Planarity as defined before the stack scan: no two classes
+    interleave along the boundary cycle, each pair checked separately."""
+    position = {elem: k for k, elem in enumerate(dg.boundary_cycle(d))}
+    labelled = sorted(
+        (position[elem], num)
+        for num, cls in enumerate(d.classes)
+        for elem in cls
+    )
+    sequence = [num for _, num in labelled]
+    for a in range(len(d.classes)):
+        for b in range(a + 1, len(d.classes)):
+            runs = []
+            for num in sequence:
+                if num in (a, b) and (not runs or runs[-1] != num):
+                    runs.append(num)
+            if len(runs) > 2 and runs[0] == runs[-1]:
+                runs.pop()  # the cycle joins the first and last run
+            if len(runs) >= 4:
+                return False
+    return True
+
+
+def test_noncrossing_matches_pairwise_definition():
+    checked = 0
+    for points in range(8):
+        for n in range(points + 1):
+            for d in _all_spliteqs(n, points - n):
+                assert dg.is_noncrossing(d) == _is_noncrossing_pairwise(d), d
+                checked += 1
+    # Bell numbers: the set partitions of 0..7 points, each split every way
+    # into sources and targets.
+    bell = [1, 1, 2, 5, 15, 52, 203, 877]
+    assert checked == sum((p + 1) * b for p, b in enumerate(bell))
+
+
 def test_json_round_trip():
     cases = [
         dg.rel(3, 2, [(0, 0), (1, 0)], "bdb", "dd"),
@@ -153,6 +190,24 @@ def test_json_round_trip():
         dg.from_json("{not json")
     with pytest.raises(DiagramError):
         dg.from_json('{"src": 1, "tgt": 1, "kind": "nope"}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "rel", "src": -2, "tgt": 0, "pairs": []}',
+    '{"kind": "rel", "src": 1.5, "tgt": 1, "pairs": []}',
+    '{"kind": "rel", "src": true, "tgt": 1, "pairs": []}',
+    '{"kind": "rel", "src": 1, "tgt": "1", "pairs": []}',
+    '{"kind": "rel", "src": 2, "tgt": 1, "pairs": [], "src_word": "bx"}',
+    '{"kind": "rel", "src": 1, "tgt": 1, "pairs": [], "tgt_word": 7}',
+    '{"kind": "rel", "src": 1, "tgt": 1, "pairs": [[0.7, 0]]}',
+    '{"kind": "rel", "src": 1, "tgt": 1, "pairs": [[0, true]]}',
+    '{"kind": "spliteq", "src": 1, "tgt": 0, "classes": [[["s", 0.7]]]}',
+    '{"kind": "spliteq", "src": 1, "tgt": 0, "classes": [[["x", 0]]]}',
+    '[1, 2]',
+])
+def test_from_json_rejects_malformed_fields(text):
+    with pytest.raises(DiagramError):
+        dg.from_json(text)
 
 
 def test_render_identity():
@@ -190,6 +245,30 @@ def _set_partitions(elems):
 def _all_spliteqs(n, m):
     elems = [S(i) for i in range(n)] + [T(j) for j in range(m)]
     return [dg.spliteq(n, m, p) for p in _set_partitions(elems)]
+
+
+def _all_rels(n, m):
+    cells = list(itertools.product(range(n), range(m)))
+    return [dg.rel(n, m, (cell for bit, cell in enumerate(cells)
+                          if mask >> bit & 1))
+            for mask in range(1 << len(cells))]
+
+
+@pytest.mark.parametrize("family", [_all_rels, _all_spliteqs],
+                         ids=["rel", "spliteq"])
+def test_compose_matches_reference_enumerated(family):
+    # Every composable pair of diagrams with at most three source and three
+    # target points, empty boundaries and (for split equivalences) classes
+    # wholly in the middle included.
+    pool = {(n, m): family(n, m) for n in range(4) for m in range(4)}
+    for (n, m), fs in pool.items():
+        for k in range(4):
+            for f, g in itertools.product(fs, pool[m, k]):
+                assert dg.compose(g, f) == ref.compose(g, f), (f, g)
+    f, g = pool[1, 2][0], pool[3, 1][0]
+    with pytest.raises(DiagramError, match="^cannot compose: middle lengths "
+                       "2 != 3$"):
+        dg.compose(g, f)
 
 
 def test_spliteq_unit_laws_enumerated():

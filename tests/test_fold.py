@@ -1,8 +1,9 @@
-"""Pinned one-factor images, and the fold checked against chained composition.
+"""Pinned one-factor images, and the fold checked against the reference
+composition (``compose_reference``) chained one factor at a time.
 
-``data/factor_images.json`` holds ``dg.to_json(factor_image(...))`` for every
-(target, variant) clause table, every generator kind in it, and every prefix
-and index word of at most two letters.  It was recorded while ``fold`` still
+``data/factor_images.json`` holds ``dg.to_json`` of the one-factor fold
+for every (target, variant) clause table, every generator kind in it, and
+every prefix and index word of at most two letters.  It was recorded while ``fold`` still
 composed one diagram per factor, so it pins each clause's image, labels
 included.  The test rebuilds the whole record and compares it with the file
 byte for byte.  Regenerate the file (only when an image is meant to change)
@@ -16,12 +17,17 @@ from pathlib import Path
 
 import pytest
 
+import compose_reference as ref
 from modalcoherence import diagram as dg
-from modalcoherence.interp import _CLAUSES, VariantError, factor_image, fold
+from modalcoherence.interp import _CLAUSES, VariantError, fold
 from modalcoherence.terms import GENERATORS, Factor, chain_target
 
 GOLDEN = Path(__file__).parent / "data" / "factor_images.json"
 SHORT_WORDS = ["", "b", "d", "bb", "bd", "db", "dd"]
+
+
+def factor_image(target: str, variant: str, factor: Factor) -> dg.Diagram:
+    return fold(target, variant, factor.src, [factor])
 
 
 def _record() -> str:
@@ -73,7 +79,7 @@ def test_fold_equals_chained_composition(table):
         src, factors = _walk(kinds, rng)
         if not factors:
             continue
-        chained = reduce(lambda image, f: dg.compose(
+        chained = reduce(lambda image, f: ref.compose(
             factor_image(target, variant, f), image),
             factors[1:], factor_image(target, variant, factors[0]))
         assert dg.to_json(fold(target, variant, src, factors)) \
