@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .interp import STD, fold, interp
+from .interp import STD, _image, fold
 from .schemas import SCHEMAS, GenPat, Side, build_side, get_schema, match_side
 from .terms import (
     ArrowTerm,
@@ -380,14 +380,14 @@ def normalize(theory: "Theory | str", term: ArrowTerm) -> ArrowTerm:
     equality class.
     """
     theory = get_theory(theory)
-    src, _, factors = typed_factors(term, theory)
+    src, tgt, factors = typed_factors(term, theory)
     if theory.id in _REWRITE_NF:
         nf, _steps = directed_normalize(theory, src, tuple(factors))
         return factors_to_term(src, list(nf))
     from .decide import SYNTHESIS_THEORIES, synthesize
 
     if theory.id in SYNTHESIS_THEORIES:
-        return synthesize(theory, interp(theory, term))
+        return synthesize(theory, _image(theory, STD, src, tgt, factors))
     raise TermError(f"theory {theory.id} has no declared normal form")
 
 

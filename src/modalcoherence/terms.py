@@ -12,10 +12,25 @@ Arrow terms denote deductions between modalities.  They are built from
 identities, indexed generator arrows, applications of the two operator
 functors, and composition ``g . f`` (apply ``f`` first).  Every well-formed
 term has a unique source and target word, computed by :func:`term_type`.
+
+The concrete syntax, in EBNF, where ``ws`` is a possibly empty run of
+whitespace and a generator name is a key of :data:`GENERATORS`::
+
+    term   = ws, chain, ws ;
+    chain  = item, { ws, ".", ws, item } ;
+    item   = [ ( "box" | "dia" ), ws ], "(", ws, chain, ws, ")"
+           | ( "id" | generator name ), ws, "{", ws, word, ws, "}" ;
+    word   = "e" | letter, { letter } ;
+    letter = "b" | "d" ;
+
+``e`` is the empty word.  Composition groups to the right: ``h . g . f``
+is ``h . (g . f)``.  A name is read whole, up to the first character that
+is not a letter, digit or underscore, so ``boxid{e}`` names nothing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -232,121 +247,118 @@ ArrowTerm = Union[Id, Gen, App, Comp]
 # Parsing
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "().":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "{":
-            j = text.find("}", i)
-            if j < 0:
-                raise ParseError("unclosed '{'", i)
-            tokens.append(("mod", text[i + 1 : j].strip(), i))
-            i = j + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    return tokens
+# One match per leaf: the run of wrappers opened before it (``box(``,
+# ``dia(`` or a bare ``(``), its name and ``{index}``, the run of ``)`` after
+# it and an optional ``.``.  Every part is optional, so the pattern always
+# matches; _leaf_error reports a leaf that is missing or malformed.
+_LEAF = re.compile(r"""
+    ((?:\s*(?:(?:box|dia)\s*)?\()*)     # wrappers
+    \s*([^\W\d]\w*)?                    # name
+    (?:\s*\{([^}]*)\})?                 # index
+    ((?:\s*\))*)                        # closers
+    \s*(\.)?                            # separator
+""", re.VERBOSE)
+_NAME = re.compile(r"\w+")
+_LEAF_NAMES = frozenset(GENERATORS) | {"id"}
 
 
-def _parse_mod(tok: tuple[str, str, int]) -> str:
-    kind, value, pos = tok
-    if kind != "mod":
-        raise ParseError("expected '{modality}'", pos)
-    if value == "e":
-        return ""
-    if value and all(c in LETTERS for c in value):
-        return value
-    raise ParseError(f"bad modality {value!r} (use 'e' or letters b/d)", pos)
+def _token(text: str, pos: int) -> tuple[str, str, int]:
+    """Kind, value and position of the first token at or after ``pos``.
+
+    Raises at the end of the input, at an unclosed ``{`` and at a character
+    that starts no token.
+    """
+    at = len(text) - len(text[pos:].lstrip())
+    if at == len(text):
+        raise ParseError("unexpected end of input", at)
+    c = text[at]
+    if c in "().":
+        return c, c, at
+    if c == "{":
+        end = text.find("}", at)
+        if end < 0:
+            raise ParseError("unclosed '{'", at)
+        return "mod", text[at + 1:end].strip(), at
+    if c.isalpha() or c == "_":
+        return "name", _NAME.match(text, at).group(), at
+    raise ParseError(f"unexpected character {c!r}", at)
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
+def _leaf_error(text: str, match: re.Match) -> ParseError:
+    """The error for a match of _LEAF that holds no name and index."""
+    kind, value, at = _token(text, match.end(1))
+    if kind != "name":
+        return ParseError(f"expected a term, got {value!r}", at)
+    if value in ("box", "dia"):
+        return ParseError(f"expected '(' after {value}",
+                          _token(text, at + 3)[2])
+    if value not in _LEAF_NAMES:
+        return ParseError(f"unknown generator name {value!r}", at)
+    return ParseError("expected '{modality}'", _token(text, at + len(value))[2])
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        self.pos += 1
-        return tok
-
-    def parse_term(self) -> ArrowTerm:
-        """Parse a '.' chain.  The chains still open inside parentheses and
-        operator applications are kept on an explicit stack, so the nesting
-        depth is not bounded by the recursion limit."""
-        # (wrapper, atoms) per open chain: the wrapper is None for the whole
-        # input, "" inside parentheses and the operator letter inside
-        # box(...) or dia(...).
-        chains: list[tuple[Optional[str], list[ArrowTerm]]] = [(None, [])]
-        while True:
-            kind, value, pos = self.next()
-            if kind == "(":
-                chains.append(("", []))
-                continue
-            if kind == "name" and value in ("box", "dia"):
-                opening = self.next()
-                if opening[0] != "(":
-                    raise ParseError(f"expected '(' after {value}", opening[2])
-                chains.append((BOX if value == "box" else DIA, []))
-                continue
-            term = self.parse_leaf(kind, value, pos)
-            while True:
-                wrapper, atoms = chains[-1]
-                atoms.append(term)
-                tok = self.peek()
-                if tok is not None and tok[0] == ".":
-                    self.next()
-                    break
-                term = atoms.pop()
-                while atoms:  # '.' is right-associative
-                    term = Comp(atoms.pop(), term)
-                if wrapper is None:
-                    return term
-                chains.pop()
-                closing = self.next()
-                if closing[0] != ")":
-                    raise ParseError("expected ')'", closing[2])
-                if wrapper:
-                    term = App(wrapper, term)
-
-    def parse_leaf(self, kind: str, value: str, pos: int) -> ArrowTerm:
-        if kind != "name":
-            raise ParseError(f"expected a term, got {value!r}", pos)
-        if value == "id":
-            return Id(_parse_mod(self.next()))
-        if value in GENERATORS:
-            return Gen(value, _parse_mod(self.next()))
-        raise ParseError(f"unknown generator name {value!r}", pos)
+def _chain(atoms: list[ArrowTerm]) -> ArrowTerm:
+    term = atoms.pop()
+    while atoms:  # '.' is right-associative
+        term = Comp(atoms.pop(), term)
+    return term
 
 
 def parse_term(text: str) -> ArrowTerm:
-    """Parse the concrete syntax; printing the result re-parses identically."""
-    parser = _Parser(_tokenize(text), len(text))
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return term
+    """Parse the concrete syntax; printing the result re-parses identically.
+
+    Each match of _LEAF reads one leaf with its wrappers.  The wrappers that
+    the same match closes apply to the leaf at once; the chains still open
+    are kept on an explicit stack, so the nesting depth is not bounded by
+    the recursion limit.
+    """
+    # (wrapper, atoms) per open chain: the wrapper is None for the whole
+    # input, "(" inside parentheses and the operator letter inside
+    # box(...) or dia(...).
+    chains: list[tuple[Optional[str], list[ArrowTerm]]] = [(None, [])]
+    pos = 0
+    while True:
+        match = _LEAF.match(text, pos)
+        opens, name, index, closes, dot = match.groups()
+        if index is None or name not in _LEAF_NAMES:
+            raise _leaf_error(text, match)
+        word = index.strip()
+        if word == "e":
+            word = ""
+        elif not word or word.strip(BOX + DIA):
+            raise ParseError(f"bad modality {word!r} (use 'e' or letters b/d)",
+                             match.start(3) - 1)
+        term = Id(word) if name == "id" else Gen(name, word)
+        # The wrappers of this match, outermost first: the operator letter
+        # for box( or dia( and "(" for a bare parenthesis.
+        wrappers = "".join(opens.split()).replace("box(", BOX).replace(
+            "dia(", DIA) if opens else ""
+        closing = closes.count(")")
+        if closing >= len(wrappers) + len(chains):  # a ')' past the input
+            skip = ")".join(closes.split(")")[:len(wrappers) + len(chains)])
+            raise ParseError("trailing input ')'", match.start(4) + len(skip))
+        shut = min(closing, len(wrappers))
+        for wrapper in reversed(wrappers[len(wrappers) - shut:]):
+            if wrapper != "(":
+                term = App(wrapper, term)
+        for wrapper in wrappers[:len(wrappers) - shut]:
+            chains.append((wrapper, []))
+        for _ in range(closing - shut):
+            wrapper, atoms = chains.pop()
+            atoms.append(term)
+            term = _chain(atoms)
+            if wrapper != "(":
+                term = App(wrapper, term)
+        chains[-1][1].append(term)
+        if dot is None:
+            break
+        pos = match.end()
+    if len(chains) > 1:
+        raise ParseError("expected ')'", _token(text, match.end())[2])
+    if match.end() < len(text):
+        _, value, at = _token(text, match.end())
+        raise ParseError(f"trailing input {value!r}", at)
+    return _chain(chains[0][1])
 
 
 def term_to_str(term: ArrowTerm) -> str:

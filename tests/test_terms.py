@@ -1,8 +1,11 @@
 """Term language: parsing, printing, typing, duality, context append."""
 
 import random
+import re
 
 import pytest
+
+import parse_reference
 
 from modalcoherence.terms import (
     App,
@@ -47,14 +50,80 @@ def test_parse_is_right_associative():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError):
-        parse_term("eps_box{e} . ")
-    with pytest.raises(ParseError):
-        parse_term("nosuch{e}")
-    with pytest.raises(ParseError):
-        parse_term("id{xyz}")
-    with pytest.raises(ParseError):
-        parse_term("box(eps_box{e}")
+    cases = [
+        ("eps_box{e} . ", "unexpected end of input", 13),
+        ("nosuch{e}", "unknown generator name 'nosuch'", 0),
+        ("id{xyz}", "bad modality 'xyz' (use 'e' or letters b/d)", 2),
+        ("box(eps_box{e}", "unexpected end of input", 14),
+        ("box eps_box{e}", "expected '(' after box", 4),
+        ("eps_box{e} eps_box{e}", "trailing input 'eps_box'", 11),
+        ("eps_box{e})", "trailing input ')'", 10),
+        ("", "unexpected end of input", 0),
+        ("eps_box{e", "unclosed '{'", 7),
+    ]
+    for text, message, position in cases:
+        with pytest.raises(ParseError) as caught:
+            parse_term(text)
+        assert str(caught.value) == f"{message} (at position {position})"
+        assert caught.value.position == position
+
+
+_FUZZ_SPACE = ["", " ", " ", "  ", "\t", "\n", "\u3000"]
+_FUZZ_EDIT = "()().. {}bdbde_xoia2\u00b2$ \t"
+_FUZZ_TOKEN = re.compile(r"\w+\{[^}]*\}|box\(|dia\(|[().]")
+
+
+def _fuzz_texts(rng):
+    """A printed random term with whitespace between its tokens and extra
+    parentheses around runs of leaves, before and after 1-3 character
+    edits."""
+    term = random_term(rng.choice(["s5", "s4_boxdia_chi", "s42_iso"]),
+                       rng.choice(["", "b", "d", "bd", "db"]),
+                       rng.randint(0, 5), rng)
+    tokens = _FUZZ_TOKEN.findall(term_to_str(term))
+    leaves = [i for i, token in enumerate(tokens) if token.endswith("}")]
+    for _ in range(rng.randint(0, 2)):
+        first = rng.choice(leaves)
+        last = rng.choice([i for i in leaves if i >= first])
+        tokens[first] = "(" + tokens[first]
+        tokens[last] += ")"
+    clean = rng.choice(_FUZZ_SPACE) + "".join(
+        token + rng.choice(_FUZZ_SPACE) for token in tokens)
+    text = clean
+    for _ in range(rng.randint(1, 3)):
+        at, c = rng.randrange(len(text) + 1), rng.choice(_FUZZ_EDIT)
+        text = rng.choice([text[:at] + c + text[at:],
+                           text[:at] + text[at + 1:],
+                           text[:at] + c + text[at + 1:]])
+    return clean, text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as error:
+        return error
+
+
+def test_parser_agrees_with_reference_on_fuzzed_text():
+    # Both parsers give the same tree, or both reject the text with a
+    # position inside it; which error they report first may differ, since
+    # the reference tokenizes the whole text before it parses.
+    rng = random.Random(2024)
+    accepted = 0
+    for _ in range(20_000):
+        clean, edited = _fuzz_texts(rng)
+        assert parse_term(clean) == parse_reference.parse_term(clean), clean
+        ours = _parse_outcome(parse_term, edited)
+        theirs = _parse_outcome(parse_reference.parse_term, edited)
+        if isinstance(ours, ParseError) or isinstance(theirs, ParseError):
+            assert isinstance(ours, ParseError), edited
+            assert isinstance(theirs, ParseError), edited
+            assert 0 <= ours.position <= len(edited), edited
+        else:
+            assert ours == theirs, edited
+            accepted += 1
+    assert accepted >= 500
 
 
 @pytest.mark.parametrize("text", [
@@ -202,16 +271,22 @@ def test_term_size():
 
 
 def test_deep_operator_nesting_at_default_recursion_limit():
-    # 2000 nested applications: the parser keeps open chains on a stack and
-    # the printer walks the term with an explicit stack.
-    text = "box(" * 2000 + "eps_box{e}" + ")" * 2000
-    term = parse_term(text)
-    assert str(term) == text
-    assert str(parse_term(str(term))) == text
-    assert parse_term(str(term)) == term
-    assert typecheck(term, "s4_box") == ("b" * 2001, "b" * 2000)
-    mixed = "dia(box(" * 1000 + "id{b} . eps_box{b}" + "))" * 1000
-    assert str(parse_term(mixed)) == mixed
+    # 100,000 mixed applications with whitespace between the tokens: the
+    # parser applies the wrappers that close right after their leaf at once
+    # and keeps the ones open over a composite on a stack; the printer walks
+    # the term with an explicit stack.
+    rng = random.Random(5)
+    prefix = "".join(rng.choice("bd") for _ in range(100_000))
+    opens = " ".join("box (" if op == "b" else "dia(" for op in prefix)
+    closes = " )" * len(prefix)
+    for body, src, tgt in [("eps_box{e}", "b", ""),
+                           ("id{b} . eps_box{b}", "bb", "b")]:
+        text = f"{opens} {body} {closes}"
+        term = parse_term(text)
+        printed = term_to_str(term)
+        assert printed == "".join(text.split()).replace(".", " . ")
+        assert parse_term(printed) == term
+        assert typecheck(term, "s4_boxdia") == (prefix + src, prefix + tgt)
 
 
 @pytest.mark.parametrize("text, other", [
