@@ -1,4 +1,5 @@
-"""Pinned exact hom-sets of the two box/diamond-mixing theories.
+"""Pinned hom-sets: the exact ones of the box/diamond-mixing theories and the
+bounded-search ones of the mixed S4-type theories.
 
 ``data/hom_spliteq.json`` holds, for s5 and fives, every word pair with at
 most five boundary points and a seeded sample of pairs with eight and ten,
@@ -6,8 +7,17 @@ the arrows ``enum_hom`` returns: each arrow's ``diagram.to_json`` in the
 order ``enum_hom`` lists them, with the string of its witness term.  The
 record was made by the build-every-partition-then-filter enumeration, so it
 pins that the shape-pruned generator returns the same arrows, in the same
-order, with the same witnesses.  Regenerate the file (only when an arrow
-list is meant to change) with ``PYTHONPATH=src python tests/test_hom_golden.py``.
+order, with the same witnesses.
+
+``data/hom_bounded.json`` holds the same fields, plus ``complete``, for every
+theory whose hom-sets come from the bounded witness search, over every pair
+of words of at most two letters (and, for s4_boxdia, ``bdb`` and ``dbd`` as
+well) at budget 6.  It was recorded by the search that folded every path
+whole, so it pins that stepping strand tables finds the same arrows, in the
+same order, with the same witnesses.
+
+Regenerate the files (only when an arrow list is meant to change) with
+``PYTHONPATH=src python tests/test_hom_golden.py``.
 """
 
 import itertools
@@ -18,10 +28,16 @@ from pathlib import Path
 from modalcoherence import diagram as dg
 from modalcoherence.decide import HomQuery, enum_hom
 
-GOLDEN = Path(__file__).parent / "data" / "hom_spliteq.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "hom_spliteq.json"
+GOLDEN_BOUNDED = DATA / "hom_bounded.json"
 THEORIES = ("s5", "fives")
 # (boundary points, pairs sampled per theory)
 SAMPLES = ((8, 6), (10, 3))
+BOUNDED_THEORIES = (
+    "s4_boxdia", "s42", "s4_box_chi", "s4_boxdia_chi", "splus_chi_op",
+    "t_boxdia", "k4_boxdia", "s41", "s42_iso", "s4_boxdia_sharp", "s42_sharp")
+BOUNDED_EXTRA_WORDS = {"s4_boxdia": ("bdb", "dbd")}
 
 
 def _words(n: int) -> list[str]:
@@ -47,23 +63,46 @@ def _pairs() -> list[tuple[str, str, str]]:
     return pairs
 
 
-def _record() -> str:
-    entries = []
-    for theory, src, tgt in _pairs():
-        result = enum_hom(HomQuery(theory, src, tgt))
+def _bounded_pairs() -> list[tuple[str, str, str]]:
+    pairs = []
+    for theory in BOUNDED_THEORIES:
+        words = _words(0) + _words(1) + _words(2)
+        words += BOUNDED_EXTRA_WORDS.get(theory, ())
+        pairs += [(theory, src, tgt) for src in words for tgt in words]
+    return pairs
+
+
+def _entry(theory: str, src: str, tgt: str) -> dict:
+    result = enum_hom(HomQuery(theory, src, tgt, 6))
+    entry = {"theory": theory, "src": src, "tgt": tgt}
+    if theory in THEORIES:
         assert result.complete
-        entries.append({
-            "theory": theory, "src": src, "tgt": tgt,
-            "arrows": [[dg.to_json(d), str(result.witnesses[d.key()])]
-                       for d in result.diagrams]})
-    return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
+    else:
+        entry["complete"] = result.complete
+    entry["arrows"] = [[dg.to_json(d), str(result.witnesses[d.key()])]
+                       for d in result.diagrams]
+    return entry
+
+
+def _record(pairs: list[tuple[str, str, str]]) -> str:
+    entries = [json.dumps(_entry(*pair)) for pair in pairs]
+    return "[\n" + ",\n".join(entries) + "\n]\n"
 
 
 def test_golden_hom_spliteq():
     text = GOLDEN.read_text()
     assert len(text.encode()) < 1_000_000
-    assert _record() == text
+    assert _record(_pairs()) == text
+
+
+def test_golden_hom_bounded():
+    text = GOLDEN_BOUNDED.read_text()
+    entries = json.loads(text)
+    assert len(entries) == 571
+    assert not any(e["complete"] for e in entries)
+    assert _record(_bounded_pairs()) == text
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(_record())
+    GOLDEN.write_text(_record(_pairs()))
+    GOLDEN_BOUNDED.write_text(_record(_bounded_pairs()))
