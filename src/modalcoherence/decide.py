@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional
 
 from . import diagram as dg
-from .interp import STD, fold, interp
+from .interp import STD, factor_steps, fold, interp
 from .terms import (
     ArrowTerm,
     App,
@@ -38,7 +38,7 @@ from .terms import (
     rev_word,
     swap_word,
 )
-from .theories import GEN, STAGES, Theory, applicable_factors, get_theory
+from .theories import GEN, REL, STAGES, Theory, applicable_factors, get_theory
 
 SYNTHESIS_THEORIES = frozenset({
     "t_box", "t_dia", "k4_box", "k4_dia", "s4_box", "s4_dia", "s_chi",
@@ -369,6 +369,11 @@ class HomQuery:
     tgt: str
     witness_budget: int = 6
 
+    def __post_init__(self):
+        if self.witness_budget < 0:
+            raise ValueError(f"witness budget must be non-negative, "
+                             f"got {self.witness_budget}")
+
 
 @dataclass
 class HomResult:
@@ -536,37 +541,68 @@ def enum_hom(q: HomQuery) -> HomResult:
 
 
 def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
-    """Breadth-first image search over (word, diagram) states, each reached
-    by a path of at most ``witness_budget`` factors that is folded whole."""
+    """Breadth-first image search over (word, strand table) states, each
+    reached by a path of at most ``witness_budget`` factors.
+
+    Only relational theories come here: the split-equivalence theories are
+    s5 and fives, and their hom-sets are enumerated exactly.  A state's table
+    is the one :func:`diagram.fold` keeps, a bit mask of source strands per
+    target strand, and an edge applies one factor's step to a copy of its
+    parent's table.  With the source fixed, the table determines the
+    relation, so every (word, relation) state is visited once, and the first
+    path to reach a relation on the target word is its witness.  Diagrams
+    are built only for those arrows, in the order of their keys under the
+    base functor; the sharp quotients then identify arrows of equal image.
+    """
     base = theory.base
+    if base.target != REL:
+        raise TermError(f"bounded search needs a relational theory, "
+                        f"not {base.id}")
     slack = 2
     max_len = max(len(q.src), len(q.tgt)) + slack
-    start = dg.identity_diagram(base.target, len(q.src), q.src)
-    states = {(q.src, start.key())}
-    frontier: list[tuple[str, list[Factor]]] = [(q.src, [])]
-    found: dict[tuple, ArrowTerm] = {}
+    moves: dict[str, list[tuple[str, Factor, dg.Step]]] = {}
+    start = tuple(1 << i for i in range(len(q.src)))
+    states = {(q.src, start)}
+    # A path is a linked list of factors, last factor first.
+    frontier: list[tuple[str, tuple, Optional[tuple]]] = [(q.src, start, None)]
+    found: dict[tuple, Optional[tuple]] = {}
     if q.src == q.tgt:
-        found[start.key()] = Id(q.src)
+        found[start] = None
     for _ in range(q.witness_budget):
         grown = []
-        for word, path in frontier:
-            for factor in applicable_factors(base, word):
-                new_word = factor.tgt
-                if len(new_word) > max_len:
+        for word, table, path in frontier:
+            if word not in moves:
+                factors = [f for f in applicable_factors(base, word)
+                           if len(f.tgt) <= max_len]
+                moves[word] = [(f.tgt, f, step) for f, step in
+                               zip(factors, factor_steps(REL, STD, factors))]
+            for new_word, factor, step in moves[word]:
+                stepped = list(table)
+                dg.rel_step(stepped, step)
+                new_table = tuple(stepped)
+                if (new_word, new_table) in states:
                     continue
-                new_path = path + [factor]
-                key = fold(base.target, STD, q.src, new_path).key()
-                if (new_word, key) in states:
-                    continue
-                states.add((new_word, key))
-                grown.append((new_word, new_path))
-                if new_word == q.tgt and key not in found:
-                    found[key] = factors_to_term(q.src, new_path)
+                states.add((new_word, new_table))
+                new_path = (factor, path)
+                grown.append((new_word, new_table, new_path))
+                if new_word == q.tgt and new_table not in found:
+                    found[new_table] = new_path
         frontier = grown
-    for key, term in sorted(found.items()):
-        diag = interp(theory, term)
-        if any(diag.same_as(seen) for seen in result.diagrams):
-            continue  # identified by the quotient functor
+    arrows = []
+    for path in found.values():
+        factors: list[Factor] = []
+        while path is not None:
+            factor, path = path
+            factors.append(factor)
+        factors.reverse()
+        arrows.append((fold(REL, STD, q.src, factors),
+                       factors_to_term(q.src, factors)))
+    arrows.sort(key=lambda arrow: arrow[0].key())
+    for diag, term in arrows:
+        if theory.quotient is not None:
+            diag = interp(theory, term)
+            if any(diag.same_as(seen) for seen in result.diagrams):
+                continue  # identified by the quotient functor
         result.diagrams.append(diag)
         result.witnesses[diag.key()] = term
 

@@ -152,6 +152,26 @@ def identity_diagram(kind: str, n: int, word: Optional[str] = None) -> Diagram:
 Step = tuple[int, int, int, Iterable, int]
 
 
+def rel_step(table: list[int], step: Step) -> None:
+    """Apply one step to a relational strand table in place.
+
+    Entry k of the table is the bit mask of the source strands related to
+    current target strand k, and the step must start on as many strands as
+    the table has entries.  This is the relational step of :func:`fold`,
+    and the hom-set search steps its tables with it as well.
+    """
+    n, s, t, links, _ = step
+    new = [0] * t
+    for i, k in links:
+        if min(i, k) + n < 0:
+            continue
+        if k >= 0:
+            new[k] |= table[n + i]
+        else:
+            table[n + k] |= table[n + i]
+    table[n:n + s] = new
+
+
 def fold(kind: str, width: int, steps: Iterable[Step],
          src_word: Optional[str] = None,
          tgt_word: Optional[str] = None) -> Diagram:
@@ -183,20 +203,15 @@ def fold(kind: str, width: int, steps: Iterable[Step],
             parent[x] = x = parent[parent[x]]
         return x
 
-    for n, s, t, links, above in steps:
+    for step in steps:
+        n, s, t, links, above = step
         if n + s + above != len(table):
             raise DiagramError(f"cannot compose: middle lengths {len(table)} "
                                f"!= {n + s + above}")
-        new = [0] * t
         if is_rel:
-            for i, k in links:
-                if min(i, k) + n < 0:
-                    continue
-                if k >= 0:
-                    new[k] |= table[n + i]
-                else:
-                    table[n + k] |= table[n + i]
+            rel_step(table, step)
         else:
+            new = [0] * t
             for cls in links:
                 root = -1
                 for side, k in cls:
@@ -212,7 +227,7 @@ def fold(kind: str, width: int, steps: Iterable[Step],
                 for side, k in cls:
                     if side == "t":
                         new[k] = root
-        table[n:n + s] = new
+            table[n:n + s] = new
     if is_rel:
         pairs = []
         for k, mask in enumerate(table):

@@ -114,23 +114,29 @@ _CLAUSES = {
 }
 
 
+def factor_steps(target: str, variant: str,
+                 factors: list[Factor]) -> list[dg.Step]:
+    """Each factor as one step of :func:`diagram.fold`: its clause, above
+    the strands of its index word and below those of its prefix."""
+    clauses = _CLAUSES[target, variant]
+    try:
+        return [(len(f.index), *clauses[f.kind], len(f.prefix))
+                for f in factors]
+    except KeyError as exc:
+        raise VariantError(
+            f"no {variant} clause for generator {exc.args[0]}") from None
+
+
 def fold(target: str, variant: str, src: str,
          factors: list[Factor]) -> dg.Diagram:
     """Composite of the factors' images, in application order; the identity
     on ``src`` when there are no factors.
 
-    Each factor is one step of :func:`diagram.fold`: its clause, above the
-    strands of its index word and below those of its prefix.  The composite
+    The composite is the :func:`diagram.fold` of the factors' steps.  It
     carries ``src`` and the last factor's target word, except under the dual
     functor, whose strands outnumber the letters by one.
     """
-    clauses = _CLAUSES[target, variant]
-    try:
-        steps = [(len(f.index), *clauses[f.kind], len(f.prefix))
-                 for f in factors]
-    except KeyError as exc:
-        raise VariantError(
-            f"no {variant} clause for generator {exc.args[0]}") from None
+    steps = factor_steps(target, variant, factors)
     if variant == DUAL:
         return dg.fold(target, len(src) + 1, steps)
     return dg.fold(target, len(src), steps, src,

@@ -10,8 +10,10 @@ import pytest
 from modalcoherence import diagram as dg
 from modalcoherence.decide import (
     HomQuery,
+    HomResult,
     SYNTHESIS_THEORIES,
     SynthesisError,
+    _bounded_search,
     _enum_spliteq,
     enum_hom,
     mirror_term,
@@ -22,7 +24,7 @@ from modalcoherence.decide import (
 from modalcoherence.interp import decide_equal, interp
 from modalcoherence.rewrite import normalize
 from modalcoherence.simplicial import finmap
-from modalcoherence.terms import parse_term, rev_word, term_type
+from modalcoherence.terms import TermError, parse_term, rev_word, term_type
 from modalcoherence.theories import get_theory
 
 
@@ -140,6 +142,24 @@ def test_enum_hom_bounded_search_kuratowski():
     for d in result.diagrams:
         witness = result.witnesses[d.key()]
         assert interp("s4_boxdia", witness).same_as(d)
+
+
+def test_enum_hom_bounded_search_budget():
+    assert len(enum_hom(HomQuery("s4_boxdia", "bdb", "bdb", 0))) == 1
+    assert len(enum_hom(HomQuery("s4_boxdia", "bdb", "dbd", 0))) == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        HomQuery("s4_boxdia", "bdb", "dbd", -1)
+    with pytest.raises(ValueError):
+        realizable("s41", dg.rel_identity(1, "b"), budget=-1)
+
+
+def test_bounded_search_needs_a_relational_base():
+    # s5 and fives are enumerated exactly; searching their split
+    # equivalences by relation tables would be wrong, so it raises.
+    for tid in ("s5", "fives"):
+        q = HomQuery(tid, "b", "b")
+        with pytest.raises(TermError, match="relational"):
+            _bounded_search(get_theory(tid), q, HomResult(q))
 
 
 def test_enum_hom_spliteq_matches_term_search():
