@@ -137,10 +137,6 @@ def spliteq_identity(n: int, word: Optional[str] = None) -> SplitEq:
 # Generic operations on both carriers
 
 
-def identity_diagram(kind: str, n: int, word: Optional[str] = None) -> Diagram:
-    return rel_identity(n, word) if kind == "rel" else spliteq_identity(n, word)
-
-
 # A step (n, s, t, links, above) replaces s strands by t new ones, above n
 # strands that pass straight through below it and below ``above`` strands
 # that pass straight through above it.  Each link is written with offsets
@@ -153,13 +149,9 @@ Step = tuple[int, int, int, Iterable, int]
 
 
 def rel_step(table: list[int], step: Step) -> None:
-    """Apply one step to a relational strand table in place.
-
-    Entry k of the table is the bit mask of the source strands related to
-    current target strand k, and the step must start on as many strands as
-    the table has entries.  This is the relational step of :func:`fold`,
-    and the hom-set search steps its tables with it as well.
-    """
+    """Apply one step to a relational strand table of :func:`fold` in
+    place; the step must start on as many strands as the table has entries.
+    The hom-set search steps its tables with it as well."""
     n, s, t, links, _ = step
     new = [0] * t
     for i, k in links:

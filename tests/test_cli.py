@@ -110,9 +110,6 @@ def test_hom(capsys):
                           "--from", "dd", "--to", "dd")
     assert code == 0
     assert out.startswith("3 arrow(s)")
-    code, out, _ = invoke(capsys, "hom", "--theory", "s4_boxdia",
-                          "--from", "bdb", "--to", "dbd", "--budget", "0")
-    assert code == 0 and out.startswith("0 arrow(s) [bounded search (budget 0)]")
     # A negative budget is bad input, not an empty search.
     code, out, err = invoke(capsys, "hom", "--theory", "s4_boxdia",
                             "--from", "bdb", "--to", "dbd", "--budget", "-1")
