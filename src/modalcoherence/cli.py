@@ -24,7 +24,13 @@ from .decide import (
     random_term,
     synthesize,
 )
-from .interp import VARIANTS, check_soundness, decide_equal, interp
+from .interp import (
+    VARIANTS,
+    admitted_variants,
+    check_soundness,
+    decide_equal,
+    interp,
+)
 from .quotient import skeleton
 from .rewrite import (
     SoundnessViolation,
@@ -217,17 +223,26 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_check(args) -> int:
     theory = get_theory(args.theory)
+    if args.bound is not None and args.bound < 0:
+        raise ValueError(f"--bound must be non-negative, got {args.bound}")
+
+    def bound(default: int) -> int:
+        return default if args.bound is None else args.bound
+
     if args.suite == "soundness":
-        report = check_soundness(theory, idx_bound=args.bound or 2)
-        print(report.describe())
-        return 0 if report.passed else 1
+        passed = True
+        for variant in admitted_variants(theory):
+            report = check_soundness(theory, variant, idx_bound=bound(2))
+            print(report.describe())
+            passed = passed and report.passed
+        return 0 if passed else 1
     if args.suite == "confluence":
-        report = confluence_check(theory, args.bound or 4)
+        report = confluence_check(theory, bound(4))
         print(f"{theory.id}: {report.terms_checked} terms, "
               f"{len(report.divergences)} divergences")
         return 0 if report.confluent else 1
     if args.suite == "roundtrip":
-        trials = args.bound or 100
+        trials = bound(100)
         rng = Random(0)
         words = ["", "b", "d", "bd", "db", "bdb"]
         for n in range(trials):
@@ -245,11 +260,10 @@ def _cmd_check(args) -> int:
     if args.suite == "counting":
         import math
 
-        bound = args.bound or 4
         letter = "d" if "eps_dia" in theory.generators or "delta_dd" in theory.generators else "b"
         ok = True
-        for m in range(bound + 1):
-            for n in range(bound + 1):
+        for m in range(bound(4) + 1):
+            for n in range(bound(4) + 1):
                 count = len(enum_hom(HomQuery(theory.id, letter * m, letter * n)))
                 if theory.id == "s4_dia":
                     expect = 1 if m == 0 else math.comb(m + n - 1, m)

@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional
 
 from . import diagram as dg
-from .interp import STD, factor_steps, fold, interp
+from .interp import STD, _image, fold, interp, plain_frame
 from .terms import (
     ArrowTerm,
     App,
@@ -31,6 +31,7 @@ from .terms import (
     Gen,
     Id,
     TermError,
+    chain_target,
     dualize,
     factors_to_term,
     letter_at,
@@ -38,7 +39,15 @@ from .terms import (
     rev_word,
     swap_word,
 )
-from .theories import GEN, REL, STAGES, Theory, applicable_factors, get_theory
+from .theories import (
+    GEN,
+    REL,
+    STAGES,
+    Theory,
+    applicable_factors,
+    check_admitted,
+    get_theory,
+)
 
 SYNTHESIS_THEORIES = frozenset({
     "t_box", "t_dia", "k4_box", "k4_dia", "s4_box", "s4_dia", "s_chi",
@@ -292,8 +301,11 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
     """Produce the staged-normal-form term whose interpretation is ``d``.
 
     Raises SynthesisError when the diagram is not in the functor's image (or
-    the theory has no synthesis procedure).  The result is verified against
-    the interpreter before being returned.
+    the theory has no synthesis procedure).  The result's image must equal
+    ``d``: a term synthesized in the dual theory is interpreted whole, and a
+    factor list synthesized directly is checked as :func:`interp` checks a
+    term (the chain of words, the theory's generators and index constraint)
+    and folded, without a walk of the term.
     """
     theory = get_theory(theory)
     src, tgt = _require_words(d)
@@ -304,16 +316,23 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
         dual = _dualized(d)
         term = dualize(factors_to_term(dual.src_word, _synth_staged(
             get_theory(_SYNTH_BY_DUAL[theory.id]), dual)))
-    elif theory.id == "fives":
-        term = factors_to_term(src, [mirror_factor(f, source="s5")
-                                     for f in _synth_s5(dg.mirror(d))])
-    elif theory.id == "s5":
-        term = factors_to_term(src, _synth_s5(d))
-    elif theory.id in SYNTHESIS_THEORIES:
-        term = factors_to_term(src, _synth_staged(theory, d))
+        image = interp(theory, term)
     else:
-        raise SynthesisError(f"no synthesis procedure for theory {theory.id}")
-    image = interp(theory, term)
+        if theory.id == "fives":
+            factors = [mirror_factor(f, source="s5")
+                       for f in _synth_s5(dg.mirror(d))]
+        elif theory.id == "s5":
+            factors = _synth_s5(d)
+        elif theory.id in SYNTHESIS_THEORIES:
+            factors = _synth_staged(theory, d)
+        else:
+            raise SynthesisError(
+                f"no synthesis procedure for theory {theory.id}")
+        # What interp checks on a term, checked on its factors.
+        factor_tgt = chain_target(src, factors)
+        check_admitted(theory, factors)
+        image = _image(theory, STD, src, factor_tgt, factors)
+        term = factors_to_term(src, factors)
     if not image.same_as(d):
         raise SynthesisError("synthesis produced a term with a different image")
     return term
@@ -560,6 +579,7 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
                         f"not {base.id}")
     slack = 2
     max_len = max(len(q.src), len(q.tgt)) + slack
+    frame = plain_frame(REL, STD)
     moves: dict[str, list[tuple[str, Factor, dg.Step]]] = {}
     start = tuple(1 << i for i in range(len(q.src)))
     states = {(q.src, start)}
@@ -574,8 +594,9 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
             if word not in moves:
                 factors = [f for f in applicable_factors(base, word)
                            if len(f.tgt) <= max_len]
-                moves[word] = [(f.tgt, f, step) for f, step in
-                               zip(factors, factor_steps(REL, STD, factors))]
+                steps = frame.steps(factors)
+                moves[word] = [(f.tgt, f, step)
+                               for f, step in zip(factors, steps)]
             for new_word, factor, step in moves[word]:
                 stepped = list(table)
                 dg.rel_step(stepped, step)

@@ -148,11 +148,25 @@ def spliteq_identity(n: int, word: Optional[str] = None) -> SplitEq:
 Step = tuple[int, int, int, Iterable, int]
 
 
+def fold_start(kind: str, width: int) -> tuple[list[int], Optional[list[int]]]:
+    """The strand table of the identity on ``width`` strands, and for a
+    split equivalence its union-find parents (None for a relation)."""
+    if kind == "rel":
+        return [1 << i for i in range(width)], None
+    return list(range(width)), list(range(width))
+
+
+def _middle_error(have: int, want: int) -> DiagramError:
+    return DiagramError(f"cannot compose: middle lengths {have} != {want}")
+
+
 def rel_step(table: list[int], step: Step) -> None:
-    """Apply one step to a relational strand table of :func:`fold` in
-    place; the step must start on as many strands as the table has entries.
-    The hom-set search steps its tables with it as well."""
-    n, s, t, links, _ = step
+    """Apply one step to a relational strand table in place; the step must
+    start on as many strands as the table has entries.  The bounded hom
+    search steps its tables with it as well."""
+    n, s, t, links, above = step
+    if n + s + above != len(table):
+        raise _middle_error(len(table), n + s + above)
     new = [0] * t
     for i, k in links:
         if min(i, k) + n < 0:
@@ -164,63 +178,85 @@ def rel_step(table: list[int], step: Step) -> None:
     table[n:n + s] = new
 
 
-def fold(kind: str, width: int, steps: Iterable[Step],
-         src_word: Optional[str] = None,
-         tgt_word: Optional[str] = None) -> Diagram:
-    """Composite of the steps, in application order, starting from the
-    identity on ``width`` strands: a relation when ``kind`` is "rel", a split
-    equivalence otherwise.
-
-    The steps are applied in turn to a strand table with one entry per
-    current target strand; each step must start on as many strands as the
-    steps before it end on.  For a relation, entry k is the set of source
-    strands related to target strand k, as a bit mask.  For a split
-    equivalence, source strand i carries label i and entry k the label of
-    target strand k; labels are merged by a union-find over integers.  A
-    class joins the labels of its source elements (or takes a fresh label
-    when it has none) and hands the result to its target elements, so a
-    class that ends up entirely in the middle keeps no boundary element and
-    never shows in the final grouping.  One diagram is built at the end,
-    through the public constructor, so it is validated and put in canonical
-    form once per fold.
-    """
-    is_rel = kind == "rel"
-    if is_rel:
-        table = [1 << i for i in range(width)]
-    else:
-        table, parent = list(range(width)), list(range(width))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for step in steps:
-        n, s, t, links, above = step
-        if n + s + above != len(table):
-            raise DiagramError(f"cannot compose: middle lengths {len(table)} "
-                               f"!= {n + s + above}")
-        if is_rel:
-            rel_step(table, step)
-        else:
-            new = [0] * t
-            for cls in links:
-                root = -1
-                for side, k in cls:
-                    if side == "s":
-                        label = find(table[n + k])
-                        if root < 0:
-                            root = label
-                        elif label != root:
-                            parent[label] = root
+def _spliteq_step(table: list[int], parent: list[int], step: Step) -> None:
+    """Apply one step to a split-equivalence strand table and its
+    union-find parents in place; the step must start on as many strands as
+    the table has entries."""
+    n, s, t, links, above = step
+    if n + s + above != len(table):
+        raise _middle_error(len(table), n + s + above)
+    new = [0] * t
+    for cls in links:
+        root = -1
+        for side, k in cls:
+            if side == "s":
+                label = table[n + k]
+                while parent[label] != label:
+                    parent[label] = label = parent[parent[label]]
                 if root < 0:
-                    root = len(parent)
-                    parent.append(root)
-                for side, k in cls:
-                    if side == "t":
-                        new[k] = root
-            table[n:n + s] = new
-    if is_rel:
+                    root = label
+                elif label != root:
+                    parent[label] = root
+        if root < 0:
+            root = len(parent)
+            parent.append(root)
+        for side, k in cls:
+            if side == "t":
+                new[k] = root
+    table[n:n + s] = new
+
+
+def fold_steps(table: list[int], parent: Optional[list[int]],
+               steps: Iterable[Step]) -> None:
+    """Apply the steps in turn to a strand table from :func:`fold_start`,
+    in place."""
+    if parent is None:
+        for step in steps:
+            rel_step(table, step)
+    else:
+        for step in steps:
+            _spliteq_step(table, parent, step)
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def fold_key(width: int, table: list[int], parent: Optional[list[int]],
+             tgt_word: Optional[str] = None) -> tuple:
+    """A canonical form of a strand table from :func:`fold_start` on
+    ``width`` strands: two tables on the same width have equal keys exactly
+    when :func:`fold_finish` makes them into diagrams with equal keys.
+
+    For a relation it is the tuple of target masks; for a split
+    equivalence, the labels of the source strands and then of the target
+    strands, renumbered in the order they are first seen.  It checks what
+    the diagram's constructor would: every related source strand is in
+    range, and ``tgt_word`` labels the target strands.
+    """
+    _check_labels(len(table), tgt_word, "target")
+    if parent is None:
+        if table and max(table) >> width:
+            raise DiagramError(f"source strand out of range {width}")
+        return tuple(table)
+    seen: dict[int, int] = {}
+    out = []
+    for label in [*range(width), *table]:
+        while parent[label] != label:
+            label = parent[label]
+        out.append(seen.setdefault(label, len(seen)))
+    return tuple(out)
+
+
+def fold_finish(width: int, table: list[int], parent: Optional[list[int]],
+                src_word: Optional[str] = None,
+                tgt_word: Optional[str] = None) -> Diagram:
+    """The diagram of a strand table from :func:`fold_start` on ``width``
+    strands, built through the public constructor, so it is validated and
+    put in canonical form."""
+    if parent is None:
         pairs = []
         for k, mask in enumerate(table):
             while mask:
@@ -230,10 +266,36 @@ def fold(kind: str, width: int, steps: Iterable[Step],
         return rel(width, len(table), pairs, src_word, tgt_word)
     groups: dict[int, list[Elem]] = {}
     for i in range(width):
-        groups.setdefault(find(i), []).append(("s", i))
+        groups.setdefault(_find(parent, i), []).append(("s", i))
     for j, label in enumerate(table):
-        groups.setdefault(find(label), []).append(("t", j))
+        groups.setdefault(_find(parent, label), []).append(("t", j))
     return spliteq(width, len(table), groups.values(), src_word, tgt_word)
+
+
+def fold(kind: str, width: int, steps: Iterable[Step],
+         src_word: Optional[str] = None,
+         tgt_word: Optional[str] = None) -> Diagram:
+    """Composite of the steps, in application order, starting from the
+    identity on ``width`` strands: a relation when ``kind`` is "rel", a split
+    equivalence otherwise.
+
+    The fold is :func:`fold_start`, :func:`fold_steps` and
+    :func:`fold_finish` in sequence.  The steps are applied in turn to a
+    strand table with one entry per current target strand; each step must
+    start on as many strands as the steps before it end on.  For a
+    relation, entry k is the set of source strands related to target strand
+    k, as a bit mask.  For a split equivalence, source strand i carries
+    label i and entry k the label of target strand k; labels are merged by
+    a union-find over integers.  A class joins the labels of its source
+    elements (or takes a fresh label when it has none) and hands the result
+    to its target elements, so a class that ends up entirely in the middle
+    keeps no boundary element and never shows in the final grouping.  One
+    diagram is built at the end, so it is validated and put in canonical
+    form once per fold.
+    """
+    table, parent = fold_start(kind, width)
+    fold_steps(table, parent, steps)
+    return fold_finish(width, table, parent, src_word, tgt_word)
 
 
 def rel_compose(g: RelDiagram, f: RelDiagram) -> RelDiagram:

@@ -4,8 +4,9 @@ Every registered theory carries a default functor into its target category
 (binary relations or split equivalences); the classic presentations of the
 base system also admit the two one-sided functor variants, the
 box/diamond-mixing theories admit a dual functor that exchanges the counit
-and comultiplication shapes, and the collapse quotients use a conjugated
-functor computed in :mod:`modalcoherence.quotient`.
+and comultiplication shapes, and the sharp quotients use the base functor
+conjugated by the collapse isomorphisms of :mod:`modalcoherence.quotient`.
+Each functor is a :class:`Frame`, which folds one side of an arrow.
 
 Equality of deductions is decided here by comparing diagrams, which the
 coherence theorems make complete for the registered non-quotient theories.
@@ -14,9 +15,10 @@ coherence theorems make complete for the registered non-quotient theories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import diagram as dg
+from .quotient import j_arrow_factors, j_inv_factors, sharp
 from .terms import ArrowTerm, Factor, TermError, word_to_str
 from .theories import (
     GEN,
@@ -76,6 +78,24 @@ def check_variant(theory: Theory, variant: str) -> None:
     raise VariantError(f"unknown functor variant {variant!r}")
 
 
+def admitted_variants(theory: "Theory | str") -> list[str]:
+    """The functor variants the theory admits, in the order of
+    :data:`VARIANTS`.  A preorder quotient has no diagram functor; it lists
+    only the standard variant, under which :func:`check_soundness` compares
+    types alone."""
+    theory = get_theory(theory)
+    variants = [STD]
+    if theory.id in _EPS_OK:
+        variants.append(EPS)
+    if theory.id in _DELTA_OK:
+        variants.append(DELTA)
+    if theory.id in _DUAL_OK:
+        variants.append(DUAL)
+    if theory.quotient == SHARP:
+        variants.append(SHARP_VARIANT)
+    return variants
+
+
 # Per-factor clauses as data.  A generator kind maps to (s, t, links), the
 # middle of a ``diagram.fold`` step: the generator spans s source and t
 # target strands above the n strands of its index word, which pass straight
@@ -114,47 +134,120 @@ _CLAUSES = {
 }
 
 
-def factor_steps(target: str, variant: str,
-                 factors: list[Factor]) -> list[dg.Step]:
-    """Each factor as one step of :func:`diagram.fold`: its clause, above
-    the strands of its index word and below those of its prefix."""
-    clauses = _CLAUSES[target, variant]
-    try:
-        return [(len(f.index), *clauses[f.kind], len(f.prefix))
-                for f in factors]
-    except KeyError as exc:
-        raise VariantError(
-            f"no {variant} clause for generator {exc.args[0]}") from None
+@dataclass(frozen=True)
+class Frame:
+    """How one coherence functor folds one side of an arrow into a strand
+    table of :mod:`diagram`.
+
+    A side from ``src`` to ``tgt`` is the fold of :meth:`opening`, one
+    :meth:`steps` entry per factor, and :meth:`closing`, starting on
+    :meth:`width` strands.  The frame holds the functor as data:
+
+    - ``kind``: the target category, "rel" or "gen";
+    - ``clauses``: generator kind to clause, the middle of a step, which the
+      factor's index word and prefix put in place;
+    - ``mirror``: the dual functor of fives is the mirror image of the dual
+      functor of s5, so each factor steps as its mirror image would, with
+      the strands of its prefix and index exchanged, and the diagram is
+      mirrored at the end;
+    - ``collapse``: the sharp functor conjugates with the collapse
+      isomorphisms, so it starts on the strands of the collapsed source,
+      opens with the factors of ``j_inv(src)`` and closes with those of
+      ``j_arrow(tgt)``.
+
+    The dual functor has one strand more than the word has letters, and its
+    diagrams carry no word labels.
+    """
+
+    kind: str
+    variant: str
+    clauses: dict
+    mirror: bool = False
+    collapse: bool = False
+
+    def width(self, src: str) -> int:
+        if self.collapse:
+            return len(sharp(src))
+        return len(src) + (self.variant == DUAL)
+
+    def labels(self, src: str, tgt: str) -> tuple[Optional[str], Optional[str]]:
+        """The words the side's diagram carries on its boundaries."""
+        if self.variant == DUAL:
+            return None, None
+        if self.collapse:
+            return sharp(src), sharp(tgt)
+        return src, tgt
+
+    def steps(self, factors: Iterable[Factor]) -> list[dg.Step]:
+        """Each factor as one step: its clause, above the strands of its
+        index word and below those of its prefix."""
+        clauses = self.clauses
+        try:
+            if self.mirror:
+                return [(len(f.prefix), *clauses[f.kind], len(f.index))
+                        for f in factors]
+            return [(len(f.index), *clauses[f.kind], len(f.prefix))
+                    for f in factors]
+        except KeyError as exc:
+            raise VariantError(f"no {self.variant} clause for generator "
+                               f"{exc.args[0]}") from None
+
+    def opening(self, src: str) -> list[dg.Step]:
+        return self.steps(j_inv_factors(src)) if self.collapse else []
+
+    def closing(self, tgt: str) -> list[dg.Step]:
+        return self.steps(j_arrow_factors(tgt)) if self.collapse else []
+
+    def image(self, src: str, tgt: str, factors: list[Factor]) -> dg.Diagram:
+        """The diagram of the factors, which run from ``src`` to ``tgt``."""
+        steps = self.steps(factors)
+        if self.collapse:
+            steps = self.opening(src) + steps + self.closing(tgt)
+        image = dg.fold(self.kind, self.width(src), steps,
+                        *self.labels(src, tgt))
+        return dg.mirror(image) if self.mirror else image
+
+
+# The frames that hold a clause table as it is, made once; a clause changed
+# in its table shows in them.
+_PLAIN_FRAMES = {key: Frame(*key, clauses) for key, clauses in _CLAUSES.items()}
+_SHARP_FRAMES = {target: Frame(target, SHARP_VARIANT, _CLAUSES[target, STD],
+                               collapse=True) for target in (REL, GEN)}
+
+
+def plain_frame(target: str, variant: str) -> Frame:
+    """The frame of the functor into ``target`` given by the clauses of
+    ``variant`` alone."""
+    return _PLAIN_FRAMES[target, variant]
+
+
+def side_frame(theory: Theory, variant: str) -> Frame:
+    """The frame of the theory's functor ``variant``, which must be one it
+    admits (:func:`check_variant`)."""
+    if variant == SHARP_VARIANT or (variant == STD and theory.quotient == SHARP):
+        return _SHARP_FRAMES[theory.base.target]
+    if variant == DUAL and theory.id == "fives":
+        from .decide import _MIRROR_FROM_FIVES
+
+        dual = _CLAUSES[GEN, DUAL]
+        return Frame(GEN, DUAL, {kind: dual[image] for kind, image
+                                 in _MIRROR_FROM_FIVES.items()}, mirror=True)
+    return plain_frame(theory.target, variant)
 
 
 def fold(target: str, variant: str, src: str,
          factors: list[Factor]) -> dg.Diagram:
-    """Composite of the factors' images, in application order; the identity
-    on ``src`` when there are no factors.
-
-    The composite is the :func:`diagram.fold` of the factors' steps.  It
-    carries ``src`` and the last factor's target word, except under the dual
-    functor, whose strands outnumber the letters by one.
-    """
-    steps = factor_steps(target, variant, factors)
-    if variant == DUAL:
-        return dg.fold(target, len(src) + 1, steps)
-    return dg.fold(target, len(src), steps, src,
-                   factors[-1].tgt if factors else src)
+    """Composite of the factors' images under the clauses of ``variant``,
+    in application order; the identity on ``src`` when there are no
+    factors.  It carries ``src`` and the last factor's target word, except
+    under the dual functor."""
+    return plain_frame(target, variant).image(
+        src, factors[-1].tgt if factors else src, factors)
 
 
 def _image(theory: Theory, variant: str, src: str, tgt: str,
            factors: list[Factor]) -> dg.Diagram:
-    if variant == SHARP_VARIANT or (variant == STD and theory.quotient == SHARP):
-        from .quotient import sharp_image
-
-        return sharp_image(theory, src, tgt, factors)
-    if variant == DUAL and theory.id == "fives":
-        from .decide import mirror_factor
-
-        mirrored = [mirror_factor(f, source="fives") for f in factors]
-        return dg.mirror(fold(GEN, DUAL, src[::-1], mirrored))
-    return fold(theory.target, variant, src, factors)
+    return side_frame(theory, variant).image(src, tgt, factors)
 
 
 def interp(theory: "Theory | str", term: ArrowTerm, variant: str = STD) -> dg.Diagram:
@@ -245,44 +338,135 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
     target word) and on image under the functor.  For the preorder
     quotients the check degenerates to equality of types, which is what
     their decision procedure relies on.
+
+    The instances of one schema at one index word form a tree, walked
+    breadth-first: the inner arrows grow one factor at a time, in the order
+    of ``theories.enumerate_factor_terms``, and a schema without an arrow
+    is the root alone.  A node holds, for each side, its running word and
+    the strand table of the functor's :class:`Frame` up to the end of the
+    inner arrow; a child copies them and adds one factor under the arrow's
+    prefix.  Every factor is checked where it is added, as
+    ``terms.chain_target`` and ``theories.check_admitted`` check it.  An
+    instance copies each side's table, steps the factors after the arrow
+    and the closing steps, and compares source, target and
+    :func:`diagram.fold_key` across the sides.  The frame's final mirror
+    image is left out: the sides have equal types wherever their keys are
+    compared, and mirroring both relabels both alike.  A failure is rebuilt
+    with ``schemas.instantiate`` to be printed.
     """
-    from .schemas import get_schema, instantiate
+    from .schemas import build_side, get_schema, instantiate, open_sides
     from .terms import chain_target, factors_to_term
-    from .theories import check_admitted, enumerate_factor_terms
+    from .theories import applicable_factors, check_admitted
 
     theory = get_theory(theory)
-    type_only = theory.quotient == TRIV
-    if not type_only:
+    frame = None
+    if theory.quotient != TRIV:
         check_variant(theory, variant)
+        frame = side_frame(theory, variant)
     words = _all_words(idx_bound)
     failures: list[SoundnessFailure] = []
     instances = 0
+    moves: dict[str, list[Factor]] = {}
 
-    def summary(src: str, factors: list[Factor]) -> tuple:
-        tgt = chain_target(src, factors)
-        check_admitted(theory, factors)
-        if type_only:
+    def checked(word: str, factors: list[Factor]) -> str:
+        # The running word after the factors.
+        if factors:
+            word = chain_target(word, factors)
+            check_admitted(theory, factors)
+        return word
+
+    def added(side: tuple, factor: Factor) -> tuple:
+        # A copy of the side (running word, table, parent) with the factor
+        # added.
+        word, table, parent = side
+        word = checked(word, [factor])
+        if frame is None:
+            return word, None, None
+        table = list(table)
+        parent = None if parent is None else list(parent)
+        dg.fold_steps(table, parent, frame.steps([factor]))
+        return word, table, parent
+
+    def ending(src: str, running: str, factors: list[Factor]) -> tuple:
+        # A side's target, its steps after the inner arrow and the label
+        # of its target strands.
+        tgt = checked(running, factors)
+        if frame is None:
+            return tgt, (), None
+        return (tgt, frame.steps(factors) + frame.closing(tgt),
+                frame.labels(src, tgt)[1])
+
+    def summary(src: str, side: tuple, tail: tuple) -> tuple:
+        # What must agree across the sides of an instance.
+        _, table, parent = side
+        tgt, steps, label = tail
+        if frame is None:
             return src, tgt
-        return src, tgt, _image(theory, variant, src, tgt, factors).key()
-
-    def check_one(schema, word: str, inner: Optional[tuple]) -> None:
-        nonlocal instances
-        instances += 1
-        lhs, rhs = instantiate(schema, word, inner)
-        if summary(*lhs) != summary(*rhs):
-            failures.append(SoundnessFailure(
-                schema.id, word,
-                str(factors_to_term(*inner)) if inner else None,
-                str(factors_to_term(*lhs)), str(factors_to_term(*rhs))))
+        if steps:
+            table = list(table)
+            parent = None if parent is None else list(parent)
+            dg.fold_steps(table, parent, steps)
+        return src, tgt, dg.fold_key(frame.width(src), table, parent, label)
 
     for schema_id in theory.equations:
         schema = get_schema(schema_id)
+        depths = f_bound if schema.naturality else 0
+        # (side, running word at the end of the inner arrow) -> ending.
+        tails: dict[tuple[int, str], tuple] = {}
         for word in words:
-            if schema.naturality:
-                for factors in enumerate_factor_terms(theory, word, f_bound):
-                    check_one(schema, word, (word, factors))
-            else:
-                check_one(schema, word, None)
+            opened = open_sides(schema, word)
+            root, whole = [], []
+            for src, before, prefix, _ in opened:
+                side = checked(src, before), None, None
+                if frame is not None:
+                    table, parent = dg.fold_start(frame.kind, frame.width(src))
+                    dg.fold_steps(table, parent,
+                                  frame.opening(src) + frame.steps(before))
+                    side = side[0], table, parent
+                root.append(side)
+                # A side without the arrow is the same in every instance.
+                whole.append(None if prefix is not None else
+                             summary(src, side, ending(src, side[0], [])))
+            # A node is (inner arrow's target, path, sides); a path is a
+            # linked list of the inner factors, last factor first.
+            level = [(word, None, root)]
+            for depth in range(depths + 1):
+                grown = []
+                for inner, path, sides in level:
+                    instances += 1
+                    summaries = whole[:]
+                    for k, (src, _, prefix, after) in enumerate(opened):
+                        if prefix is None:
+                            continue
+                        running = sides[k][0]
+                        tail = tails.get((k, running))
+                        if tail is None:
+                            tail = tails[k, running] = ending(
+                                src, running, build_side(after, {"B": inner}))
+                        summaries[k] = summary(src, sides[k], tail)
+                    if summaries[0] != summaries[1]:
+                        factors, link = [], path
+                        while link is not None:
+                            factor, link = link
+                            factors.append(factor)
+                        factors.reverse()
+                        arrow = (word, factors) if schema.naturality else None
+                        lhs, rhs = instantiate(schema, word, arrow)
+                        failures.append(SoundnessFailure(
+                            schema.id, word,
+                            str(factors_to_term(*arrow)) if arrow else None,
+                            str(factors_to_term(*lhs)),
+                            str(factors_to_term(*rhs))))
+                    if depth == depths:
+                        continue
+                    if inner not in moves:
+                        moves[inner] = applicable_factors(theory, inner)
+                    for g in moves[inner]:
+                        grown.append((g.tgt, (g, path), [
+                            side if prefix is None else added(
+                                side, Factor(prefix + g.prefix, g.kind, g.index))
+                            for side, (_, _, prefix, _) in zip(sides, opened)]))
+                level = grown
     return SoundnessReport(theory.id, variant, instances, tuple(failures))
 
 

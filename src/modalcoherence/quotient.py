@@ -90,27 +90,25 @@ def j_inv(word: str) -> ArrowTerm:
     return _collapse_term(word, _EXPAND, gen_first=False)
 
 
+def j_inv_factors(word: str) -> list[Factor]:
+    """The factors of :func:`j_inv`, in application order."""
+    return _collapse_factors(word, _EXPAND)[::-1]
+
+
+def j_arrow_factors(word: str) -> list[Factor]:
+    """The factors of :func:`j_arrow`, in application order."""
+    return _collapse_factors(word, _COLLAPSE)
+
+
 def interp_sharp(theory: "Theory | str", term: ArrowTerm) -> dg.RelDiagram:
     """Image under the conjugated functor: collapse both endpoints with the
     canonical isomorphisms, then interpret in the base theory."""
+    from .interp import SHARP_VARIANT, _image
+
     theory = get_theory(theory)
     if theory.quotient != SHARP:
         raise TermError(f"theory {theory.id} is not a sharp quotient")
-    return sharp_image(theory, *typed_factors(term, theory.base))
-
-
-def sharp_image(theory: Theory, src: str, tgt: str,
-                factors: list[Factor]) -> dg.RelDiagram:
-    """:func:`interp_sharp` of a typed factor list."""
-    from .interp import STD, fold
-
-    # The factors of j_inv(src), then the arrow, then those of j_arrow(tgt).
-    conjugated = _collapse_factors(src, _EXPAND)[::-1]
-    conjugated += factors
-    conjugated += _collapse_factors(tgt, _COLLAPSE)
-    image = fold(theory.base.target, STD, sharp(src), conjugated)
-    return dg.RelDiagram(image.src_len, image.tgt_len, image.pairs,
-                         sharp(src), sharp(tgt))
+    return _image(theory, SHARP_VARIANT, *typed_factors(term, theory.base))
 
 
 # ---------------------------------------------------------------------------

@@ -127,18 +127,46 @@ def build_side(side: Side, bindings: dict) -> list[Factor]:
     return factors
 
 
-def _side_source(schema: EquationSchema, side: Side, bindings: dict) -> str:
-    if not side:
-        pre, var = schema.identity_word
-        return pre + bindings[var]
-    pat = side[0]
-    if isinstance(pat, FVarPat):
-        return pat.prefix + bindings["A"]
-    return Factor(pat.prefix, pat.kind,
-                  pat.index_pre + bindings[pat.index_var]).src
-
-
 Instance = tuple[str, list[Factor]]
+# A side up to its inner arrow: (source word, factors before the arrow,
+# prefix of the arrow or None when the side has none, patterns after it).
+OpenSide = tuple[str, list[Factor], Optional[str], Side]
+
+
+def open_sides(schema: EquationSchema, word: str,
+               ) -> tuple[OpenSide, OpenSide]:
+    """The (lhs, rhs) sides of the schema's instances whose inner arrow
+    starts at ``word``, each cut at its arrow metavariable.
+
+    The patterns before the arrow bind ``A`` to ``word``; those after it
+    name only ``B``, the arrow's target, which :func:`instantiate` and the
+    soundness sweep bind.  A mirrored schema's sides are the mirror images
+    of its base schema's sides at the reversed word.
+    """
+    if schema.mirror_of is not None:
+        from .decide import mirror_factor
+
+        base = get_schema(schema.mirror_of)
+        return tuple((src[::-1], [mirror_factor(f) for f in factors], None, ())
+                     for src, factors, _, _ in open_sides(base, word[::-1]))
+    bindings = {"A": word}
+    opened = []
+    for side in (schema.lhs, schema.rhs):
+        cut, prefix = len(side), None
+        for k, pat in enumerate(side):
+            if isinstance(pat, FVarPat):
+                cut, prefix = k, pat.prefix
+                break
+        before = build_side(side[:cut], bindings)
+        if before:
+            src = before[0].src
+        elif prefix is not None:
+            src = prefix + word
+        else:
+            pre, var = schema.identity_word
+            src = pre + bindings[var]
+        opened.append((src, before, prefix, side[cut + 1:]))
+    return tuple(opened)
 
 
 def instantiate(schema: EquationSchema, word: str,
@@ -151,22 +179,20 @@ def instantiate(schema: EquationSchema, word: str,
     mirrored schema is the mirror image of its base schema's instance at
     the reversed word.  The sides are not typed here.
     """
-    if schema.mirror_of is not None:
-        from .decide import mirror_factor
-
-        return tuple((src[::-1], [mirror_factor(f) for f in factors])
-                     for src, factors in instantiate(get_schema(schema.mirror_of),
-                                                     word[::-1]))
-    bindings: dict = {"A": word}
+    factors: list[Factor] = []
     if schema.naturality:
         if inner is None:
             raise TermError(f"schema {schema.id} needs an inner arrow")
-        src, factors = inner
-        bindings = {"A": src, "B": chain_target(src, factors),
-                    "f": tuple(factors)}
-    return tuple((_side_source(schema, side, bindings),
-                  build_side(side, bindings))
-                 for side in (schema.lhs, schema.rhs))
+        word, factors = inner
+    after_bindings = {"B": chain_target(word, factors)}
+    sides = []
+    for src, built, prefix, after in open_sides(schema, word):
+        if prefix is not None:
+            built += [Factor(prefix + g.prefix, g.kind, g.index)
+                      for g in factors]
+            built += build_side(after, after_bindings)
+        sides.append((src, built))
+    return tuple(sides)
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,11 @@ from modalcoherence.decide import (
     random_term,
 )
 from modalcoherence.interp import (
-    DELTA,
-    DUAL,
-    EPS,
-    SHARP_VARIANT,
-    STD,
+    admitted_variants,
     check_soundness,
     decide_equal,
     interp,
 )
-from modalcoherence.interp import _DELTA_OK, _DUAL_OK, _EPS_OK
 from modalcoherence.quotient import interp_sharp, preordering_catalog, skeleton
 from modalcoherence.rewrite import (
     confluence_check,
@@ -77,22 +72,17 @@ def _words(max_len: int) -> list[str]:
 
 def test_criterion_01_soundness_sweep():
     failures = []
+    instances = 0
     t0 = time.time()
-    for tid, theory in sorted(REGISTRY.items()):
-        variants = [STD]
-        if tid in _EPS_OK:
-            variants.append(EPS)
-        if tid in _DELTA_OK:
-            variants.append(DELTA)
-        if tid in _DUAL_OK:
-            variants.append(DUAL)
-        if theory.quotient == "sharp":
-            variants.append(SHARP_VARIANT)
-        for variant in variants:
+    for tid in sorted(REGISTRY):
+        for variant in admitted_variants(tid):
             report = check_soundness(tid, variant, idx_bound=3, f_bound=2)
+            instances += report.instances
             if not report.passed:
                 failures.append((tid, variant, len(report.failures)))
     elapsed = time.time() - t0
+    if instances != 99_288:
+        failures.append(("instances", instances))
     if elapsed > 120:
         failures.append(("runtime", elapsed))
     _report(1, f"soundness sweep, all theories/variants ({elapsed:.0f}s)",

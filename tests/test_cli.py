@@ -151,6 +151,43 @@ def test_check_suites(capsys):
     assert code == 0
 
 
+def test_check_soundness_runs_every_admitted_variant(capsys):
+    code, out, _ = invoke(capsys, "check", "--suite", "soundness",
+                          "--theory", "t_box", "--bound", "1")
+    assert code == 0
+    assert out.splitlines() == [f"t_box/{variant}: 7 instances, 0 failures"
+                                for variant in ("std", "eps", "delta")]
+    code, out, _ = invoke(capsys, "check", "--suite", "soundness",
+                          "--theory", "s42_sharp", "--bound", "0")
+    assert code == 0
+    assert out.splitlines() == ["s42_sharp/std: 32 instances, 0 failures",
+                                "s42_sharp/sharp: 32 instances, 0 failures"]
+
+
+def test_check_bound_zero_and_negative(capsys):
+    # A bound of 0 is honoured, not replaced by the suite's default: the
+    # soundness sweep of s4_box then checks the empty word only (the
+    # default, 2, gives 111 instances).
+    code, out, _ = invoke(capsys, "check", "--suite", "soundness",
+                          "--theory", "s4_box", "--bound", "0")
+    assert code == 0
+    assert out.strip() == "s4_box/std: 5 instances, 0 failures"
+    code, out, _ = invoke(capsys, "check", "--suite", "confluence",
+                          "--theory", "t_box", "--bound", "0")
+    assert code == 0 and out.strip() == "t_box: 2 terms, 0 divergences"
+    code, out, _ = invoke(capsys, "check", "--suite", "roundtrip",
+                          "--theory", "s5", "--bound", "0")
+    assert code == 0 and out.strip() == "0 roundtrips ok"
+    code, out, _ = invoke(capsys, "check", "--suite", "counting",
+                          "--theory", "s4_dia", "--bound", "0")
+    assert code == 0 and out.strip() == "hom(0,0) = 1 (expected 1)"
+    for suite in ("soundness", "confluence", "roundtrip", "counting"):
+        code, out, err = invoke(capsys, "check", "--suite", suite,
+                                "--theory", "s4_dia", "--bound", "-3")
+        assert code == DOMAIN_ERROR, suite
+        assert not out and "--bound must be non-negative" in err, suite
+
+
 def test_usage_and_domain_errors(capsys):
     code, _, _ = invoke(capsys, "frobnicate")
     assert code == USAGE_ERROR

@@ -1,9 +1,12 @@
 """Coherence functors: clause values, functoriality, soundness, equality."""
 
+import importlib
 import random
 from dataclasses import replace
 
 import pytest
+
+import soundness_reference
 
 from modalcoherence import cli
 from modalcoherence import diagram as dg
@@ -13,6 +16,7 @@ from modalcoherence.interp import (
     NOT_EQUAL,
     TYPE_MISMATCH,
     VariantError,
+    admitted_variants,
     check_soundness,
     decide_equal,
     interp,
@@ -179,6 +183,57 @@ def test_soundness_mutation_detects_unbalanced_types(monkeypatch):
         report = check_soundness(tid, idx_bound=2, f_bound=1)
         assert not report.passed, tid
         assert {f.schema_id for f in report.failures} == {"beta_bb"}, tid
+
+
+THEORY_VARIANTS = [(tid, variant) for tid in sorted(REGISTRY)
+                   for variant in admitted_variants(tid)]
+
+
+@pytest.mark.parametrize("idx_bound, f_bound", [(2, 2), (3, 1), (1, 3)])
+def test_soundness_agrees_with_reference(idx_bound, f_bound):
+    for tid, variant in THEORY_VARIANTS:
+        assert check_soundness(tid, variant, idx_bound, f_bound) == \
+            soundness_reference.check_soundness(
+                tid, variant, idx_bound, f_bound), (tid, variant)
+
+
+# Deliberate faults in one clause each: (target, variant, generator kind)
+# -> the broken clause and the failures it gives per theory/variant at
+# idx_bound=2, f_bound=2.
+CLAUSE_MUTATIONS = {
+    ("rel", "std", "delta_bb"): ((1, 2, ((0, 0),)), {
+        "s41/std": 7, "s42/std": 7, "s42_iso/std": 7,
+        "s42_sharp/std": 8, "s42_sharp/sharp": 8, "s4_box/std": 7,
+        "s4_box_chi/std": 14, "s4_boxdia/std": 7, "s4_boxdia_chi/std": 14,
+        "s4_boxdia_sharp/std": 8, "s4_boxdia_sharp/sharp": 8,
+        "splus_chi_op/std": 7}),
+    ("gen", "std", "delta_bd"): (
+        (1, 2, ((("s", 0), ("t", 0)), (("t", 1),))), {"s5/std": 21}),
+    ("gen", "dual", "delta_db"): (
+        (3, 2, ((("s", 0), ("t", 0), ("s", 1)), (("s", 2), ("t", 1)))),
+        {"s5/dual": 28, "fives/dual": 28}),
+    ("rel", "std", "chi_db"): ((2, 2, ((0, 0), (1, 1))), {
+        "s42/std": 28, "s42_iso/std": 42, "s42_sharp/std": 28,
+        "s42_sharp/sharp": 28}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CLAUSE_MUTATIONS),
+                         ids="/".join)
+def test_soundness_agrees_with_reference_under_clause_mutations(
+        monkeypatch, mutation):
+    target, functor, kind = mutation
+    clause, expected = CLAUSE_MUTATIONS[mutation]
+    clauses = importlib.import_module("modalcoherence.interp")._CLAUSES
+    monkeypatch.setitem(clauses[target, functor], kind, clause)
+    counts = {}
+    for tid, variant in THEORY_VARIANTS:
+        report = check_soundness(tid, variant, 2, 2)
+        assert report == soundness_reference.check_soundness(
+            tid, variant, 2, 2), (tid, variant)
+        if report.failures:
+            counts[f"{tid}/{variant}"] = len(report.failures)
+    assert counts == expected
 
 
 # Instances per (theory, functor variant) at idx_bound=2, f_bound=2: every

@@ -100,7 +100,7 @@ def test_j_arrows_match_recursive_definitions():
 
 
 def test_interp_sharp_is_the_image_of_the_conjugated_term():
-    # sharp_image builds the factors of the collapse arrows directly; the
+    # The sharp frame steps the factors of the collapse arrows directly; the
     # result must be the base image of the term conjugated by them.
     rng = random.Random(71)
     for _ in range(80):
