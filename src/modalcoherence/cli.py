@@ -178,7 +178,7 @@ def _cmd_prove(args) -> int:
     if result.refuted:
         print("not equal")
         return 1
-    print("Unknown")
+    print(f"Unknown ({result.reason})")
     return UNKNOWN
 
 

@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple, Optional
 from .interp import STD, _image, fold
 from .schemas import SCHEMAS, GenPat, Side, build_side, get_schema, match_side
 from .terms import (
+    GENERATORS,
     ArrowTerm,
     Factor,
     TermError,
@@ -112,15 +113,30 @@ def _apply_prefix(factors: list[Factor], prefix: str) -> list[Factor]:
     return [Factor(prefix + f.prefix, f.kind, f.index) for f in factors]
 
 
+# One character per generator kind.  A spine's kinds read as a string (its
+# code), so the positions where a from-side's fixed kinds fit are found by
+# str.find instead of a walk over the factors.
+_KIND_CODE = {kind: chr(ord("a") + n) for n, kind in enumerate(GENERATORS)}
+
+
+def _spine_code(factors: tuple[Factor, ...]) -> str:
+    return "".join([_KIND_CODE[f.kind] for f in factors])
+
+
 class _Matcher(NamedTuple):
     """One schema in one direction, compiled for anchored matching.
 
     The anchor is the first generator pattern of the from-side, at
     ``offset`` into it.  A match at position i needs factor i + offset to
     have the anchor's kind and a prefix ending in the anchor's prefix, and
-    the rest of that prefix is the one strip depth that can match.  A
-    from-side without factors (inserting an identity expansion) has no
-    anchor; its ``kind`` is empty.
+    the rest of that prefix is the one strip depth that can match.  The
+    kind codes of the from-side's generator patterns from the anchor up to
+    its first arrow metavariable form ``needle``, which must occur in the
+    spine's code at i + offset.  (Every from-side is either all generator
+    patterns or one generator and one arrow, so the needle holds all of its
+    fixed kinds; match_side would check any after an arrow.)  A from-side
+    without factors (inserting an identity expansion) has no anchor; its
+    ``kind`` is empty.
     """
     schema_id: str
     direction: str
@@ -130,6 +146,7 @@ class _Matcher(NamedTuple):
     offset: int = 0
     kind: str = ""
     prefix: str = ""
+    needle: str = ""
 
 
 def _compile(schema_id: str, direction: str) -> _Matcher:
@@ -137,9 +154,14 @@ def _compile(schema_id: str, direction: str) -> _Matcher:
     frm, to = (schema.lhs, schema.rhs) if direction == "lr" else (schema.rhs, schema.lhs)
     if not frm:
         return _Matcher(schema_id, direction, frm, to, schema.identity_word)
+    # An arrow metavariable matches a factor of any kind: "." never occurs
+    # in a spine's code.
+    code = "".join(_KIND_CODE[pat.kind] if isinstance(pat, GenPat) else "."
+                   for pat in frm)
     offset = next(j for j, pat in enumerate(frm) if isinstance(pat, GenPat))
     return _Matcher(schema_id, direction, frm, to, None, offset,
-                    frm[offset].kind, frm[offset].prefix)
+                    frm[offset].kind, frm[offset].prefix,
+                    code[offset:].split(".")[0])
 
 
 _MATCHERS: dict[tuple[str, str], _Matcher] = {
@@ -157,40 +179,65 @@ _Match = tuple[tuple[Factor, ...], int, int, int, dict]
 
 
 def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
-                      words: list[str]) -> Iterator[_Match]:
-    to = m.to
-    n = len(factors)
-    if m.frm:
-        L, j, kind, anchor = len(m.frm), m.offset, m.kind, m.prefix
-        for i in range(n - L + 1):
-            f = factors[i + j]
-            if f.kind != kind or not f.prefix.endswith(anchor):
+                      code: str) -> Iterator[_Match]:
+    """The matches of an anchored matcher against a spine whose kind code
+    is ``code``, in increasing position order."""
+    frm, j, needle, anchor = m.frm, m.offset, m.needle, m.prefix
+    L = len(frm)
+    # The needle starts at i + j and the segment must end by the spine's end.
+    end = len(factors) - L + j + len(needle)
+    p = code.find(needle, j, end)
+    while p >= 0:
+        f, i = factors[p], p - j
+        p = code.find(needle, p + 1, end)
+        if not f.prefix.endswith(anchor):
+            continue
+        s = len(f.prefix) - len(anchor)
+        outer = f.prefix[:s]
+        segment = factors[i:i + L]
+        # Only a segment under one common prefix reaches match_side.
+        if s and not all(g.prefix.startswith(outer) for g in segment):
+            continue
+        bindings = match_side(frm, segment, outer=outer)
+        if bindings is None:
+            continue
+        new_segment = _apply_prefix(build_side(m.to, bindings), outer)
+        yield (factors[:i] + tuple(new_segment) + factors[i + L:],
+               i, s, len(new_segment), bindings)
+
+
+def _identity_insertions(m: _Matcher, factors: tuple[Factor, ...],
+                         words: list[str]) -> Iterator[_Match]:
+    """Insertions of an expansion of the identity at a boundary of the
+    spine; ``words`` are its boundary words."""
+    pre, var = m.identity_word
+    for i, word in enumerate(words):
+        for s in range(len(word) + 1):
+            rest = word[s:]
+            if not rest.startswith(pre):
                 continue
-            s = len(f.prefix) - len(anchor)
-            outer = f.prefix[:s]
-            segment = factors[i:i + L]
-            # Only a segment under one common prefix reaches match_side.
-            if s and not all(g.prefix.startswith(outer) for g in segment):
-                continue
-            bindings = match_side(m.frm, segment, outer=outer)
-            if bindings is None:
-                continue
-            new_segment = _apply_prefix(build_side(to, bindings), outer)
-            yield (factors[:i] + tuple(new_segment) + factors[i + L:],
+            bindings = {var: rest[len(pre):]}
+            new_segment = _apply_prefix(build_side(m.to, bindings), word[:s])
+            yield (factors[:i] + tuple(new_segment) + factors[i:],
                    i, s, len(new_segment), bindings)
-    else:
-        # Inserting an expansion of the identity at a boundary.
-        pre, var = m.identity_word
-        for i in range(n + 1):
-            word = words[i]
-            for s in range(len(word) + 1):
-                rest = word[s:]
-                if not rest.startswith(pre):
-                    continue
-                bindings = {var: rest[len(pre):]}
-                new_segment = _apply_prefix(build_side(to, bindings), word[:s])
-                yield (factors[:i] + tuple(new_segment) + factors[i:],
-                       i, s, len(new_segment), bindings)
+
+
+def _matches(matchers: tuple[_Matcher, ...], src: str,
+             factors: tuple[Factor, ...],
+             ) -> Iterator[tuple[_Matcher, _Match]]:
+    """Every match of the matchers, in order, against one spine."""
+    code = _spine_code(factors)
+    words = None
+    for m in matchers:
+        if m.frm:
+            if m.needle in code:
+                for match in _segment_rewrites(m, factors, code):
+                    yield m, match
+        else:
+            if words is None:
+                words = _boundary_words(src, factors)
+            for match in _identity_insertions(m, factors, words):
+                yield m, match
 
 
 def _step(m: _Matcher, position: int, strip: int, inserted: int,
@@ -204,15 +251,15 @@ def rewrites(theory: Theory, src: str, factors: tuple[Factor, ...],
              schema_ids: Optional[tuple[str, ...]] = None,
              ) -> Iterator[tuple[tuple[Factor, ...], Step]]:
     """All one-step rewrites of a spine by the theory's schemas."""
-    words = _boundary_words(src, factors)
+    matchers = []
     for schema_id in (schema_ids if schema_ids is not None else theory.equations):
         if schema_id not in SCHEMAS:
             get_schema(schema_id)  # raises the unknown-schema error
-        for direction in directions:
-            m = _MATCHERS.get((schema_id, direction))
-            if m is not None:  # instance-only schemas have no matcher
-                for new_factors, *match in _segment_rewrites(m, factors, words):
-                    yield new_factors, _step(m, *match)
+        # Instance-only schemas have no matcher.
+        matchers += [_MATCHERS[schema_id, d] for d in directions
+                     if (schema_id, d) in _MATCHERS]
+    for m, (new_factors, *match) in _matches(tuple(matchers), src, factors):
+        yield new_factors, _step(m, *match)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +298,14 @@ _STAGE_FIXERS = {
     "assoc_sigma_dd": "lr", "assoc_sigma_bd": "lr",
 }
 
-_NATURALITIES = {
+# In registry order; the order is the one the sort tries them in, so it is a
+# tuple, not a set whose order would follow the hash seed.
+_NATURALITIES = (
     "nat_eps_box", "nat_eps_dia", "nat_delta_bb", "nat_delta_bd",
     "nat_delta_dd", "nat_delta_db", "nat_chi_bb", "nat_chi_dd",
     "nat_chi_db", "nat_chi_bd", "nat_sigma_bb", "nat_sigma_db",
     "nat_sigma_bd", "nat_sigma_dd",
-}
+)
 
 
 # Generators whose target word is longer than their source word.
@@ -275,24 +324,46 @@ def _sort_key(factor: Factor) -> tuple[int, int]:
     return (len(factor.index), -len(factor.prefix))
 
 
-# Per theory: the shrinkers and stage-fixers in priority order, the
-# naturalities in the order the sort tries them, and the stage number of each
-# generator kind (lower stages apply earlier, more to the right of the
-# composite, in the staged normal forms).
-_TABLES: dict[Theory, tuple[tuple[_Matcher, ...], tuple[_Matcher, ...], dict]] = {}
+class _Tables(NamedTuple):
+    """A theory's matchers, compiled once.
+
+    ``oriented``: the shrinkers and stage-fixers in priority order.
+    ``naturalities``: per (inner kind, outer kind) of an adjacent pair, the
+    naturality matchers whose anchor kind fits the pair, in the order the
+    sort tries them.  ``stages``: the stage number of each generator kind
+    (lower stages apply earlier, more to the right of the composite, in the
+    staged normal forms).  ``search``: every matcher of the theory's
+    equations, both directions, in the order the proof search tries them.
+    """
+    oriented: tuple[_Matcher, ...]
+    naturalities: dict[tuple[str, str], tuple[_Matcher, ...]]
+    stages: dict
+    search: tuple[_Matcher, ...]
 
 
-def _tables(theory: Theory):
+_TABLES: dict[Theory, _Tables] = {}
+
+
+def _tables(theory: Theory) -> _Tables:
     tables = _TABLES.get(theory)
     if tables is None:
         available = set(theory.equations)
         oriented = tuple(_MATCHERS[sid, d] for table in (_SHRINKERS, _STAGE_FIXERS)
                          for sid, d in table.items() if sid in available)
-        nats = tuple(_MATCHERS[sid, d] for sid in _NATURALITIES
-                     if sid in available for d in ("lr", "rl"))
+        naturalities: dict[tuple[str, str], tuple[_Matcher, ...]] = {}
+        for m in (_MATCHERS[sid, d] for sid in _NATURALITIES
+                  if sid in available for d in ("lr", "rl")):
+            # A naturality side is one generator and one inner arrow, which
+            # fits a factor of any kind.
+            for kind in GENERATORS:
+                pair = (m.kind, kind) if m.offset == 0 else (kind, m.kind)
+                naturalities[pair] = naturalities.get(pair, ()) + (m,)
         stages = STAGE_NUMBERS.get(
             theory.base.id if theory.quotient else theory.id, {})
-        tables = _TABLES[theory] = (oriented, nats, stages)
+        search = tuple(_MATCHERS[sid, d] for sid in theory.equations
+                       for d in ("lr", "rl") if (sid, d) in _MATCHERS)
+        tables = _TABLES[theory] = _Tables(oriented, naturalities, stages,
+                                           search)
     return tables
 
 
@@ -306,17 +377,16 @@ def directed_normalize(theory: "Theory | str", src: str,
     rewrite of the input (every step is an equation of the theory) but is
     canonical only for the base single-generator theories.
     """
-    oriented, naturalities, stage = _tables(get_theory(theory))
+    oriented, naturalities, stage, _ = _tables(get_theory(theory))
     steps: list[Step] = []
     seen = {factors}
     current = factors
     for _ in range(max_steps):
-        words = _boundary_words(src, current)
-        kinds = {f.kind for f in current}
+        code = _spine_code(current)
         step = None
         for m in oriented:
-            if m.kind in kinds:
-                found = next(_segment_rewrites(m, current, words), None)
+            if m.needle in code:
+                found = next(_segment_rewrites(m, current, code), None)
                 if found is not None and found[0] not in seen:
                     current, step = found[0], _step(m, *found[1:])
                     break
@@ -332,12 +402,9 @@ def directed_normalize(theory: "Theory | str", src: str,
             if si > so or (si == so and _sort_key(inner) <= _sort_key(outer)):
                 pair = current[i:i + 2]
                 wanted = None
-                for m in naturalities:
-                    anchor = pair[m.offset]
-                    if anchor.kind != m.kind or not anchor.prefix.endswith(m.prefix):
-                        continue
+                for m in naturalities.get((inner.kind, outer.kind), ()):
                     for new_pair, position, strip, inserted, _ in \
-                            _segment_rewrites(m, pair, words[i:i + 3]):
+                            _segment_rewrites(m, pair, code[i:i + 2]):
                         ni, no = new_pair
                         nsi, nso = stage.get(ni.kind, 0), stage.get(no.kind, 0)
                         if nsi > nso:
@@ -397,11 +464,25 @@ def normalize(theory: "Theory | str", term: ArrowTerm) -> ArrowTerm:
 
 @dataclass(frozen=True)
 class ProofResult:
-    proved: bool
+    """The verdict of a bounded proof search and why it stopped.
+
+    ``reason`` is ``proved`` (``steps`` is the derivation), ``refuted`` (the
+    two terms have different diagrams, so they are not equal), or, for an
+    unknown result, which never means inequality: ``depth`` (the step
+    budget ran out while states were left to expand), ``size_cap`` (no
+    state was left, and the size cap dropped at least one rewrite) or
+    ``exhausted`` (no state was left and the cap dropped nothing).
+    """
+    reason: str
     steps: tuple[Step, ...] = ()
-    # The two terms have different diagrams, so they are not equal.  A
-    # result that is neither proved nor refuted is unknown.
-    refuted: bool = False
+
+    @property
+    def proved(self) -> bool:
+        return self.reason == "proved"
+
+    @property
+    def refuted(self) -> bool:
+        return self.reason == "refuted"
 
     def __bool__(self) -> bool:
         return self.proved
@@ -410,6 +491,21 @@ class ProofResult:
         if not self.proved:
             return json.dumps(None)
         return derivation_to_json(list(self.steps))
+
+
+# A node of a search path: (parent node, link, length).  A root has no
+# parent and its link is the tuple of steps that reached it; any other
+# node's link is the matcher and the match of its last step.
+_Node = tuple
+
+
+def _path_steps(node: _Node) -> list[Step]:
+    """The steps from a search root to a path node."""
+    steps = []
+    while node[0] is not None:
+        node, (m, match), _ = node
+        steps.append(_step(m, *match[1:]))
+    return list(node[1]) + steps[::-1]
 
 
 class SoundnessViolation(TermError):
@@ -444,10 +540,10 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
         raise TermError("proof search needs terms of the same type")
     sf, sg = tuple(sf), tuple(sg)
     if sf == sg:
-        return ProofResult(True)
+        return ProofResult("proved")
     image = fold(theory.target, STD, src, list(sf))
     if not image.same_as(fold(theory.target, STD, src, list(sg))):
-        return ProofResult(False, refuted=True)
+        return ProofResult("refuted")
 
     # Every state the search reaches is checked as typed_factors and interp
     # check a term, on its factors: its words and its composition chain
@@ -472,49 +568,57 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
                 candidate)
         checked.add(candidate)
 
-    def splice(forward: tuple[Step, ...], backward: tuple[Step, ...],
-               ) -> Optional[ProofResult]:
-        derivation = list(forward) + [s.reversed() for s in reversed(backward)]
-        if len(derivation) <= depth:
-            return ProofResult(True, tuple(derivation))
-        return None
+    def splice(forward: _Node, backward: _Node) -> Optional[ProofResult]:
+        if forward[2] + backward[2] > depth:
+            return None
+        derivation = _path_steps(forward) + [
+            s.reversed() for s in reversed(_path_steps(backward))]
+        return ProofResult("proved", tuple(derivation))
 
     # Greedy directed meet first.
     nf_f, steps_f = directed_normalize(theory, src, sf)
     nf_g, steps_g = directed_normalize(theory, src, sg)
     guard(nf_f)
     guard(nf_g)
+    greedy_f = (None, tuple(steps_f), len(steps_f))
+    greedy_g = (None, tuple(steps_g), len(steps_g))
     if nf_f == nf_g:
-        found = splice(tuple(steps_f), tuple(steps_g))
+        found = splice(greedy_f, greedy_g)
         if found:
             return found
 
     # Bidirectional breadth-first search with a size cap.  States record the
-    # side they were reached from and the step path from that side's root.
+    # side they were reached from and their path node from that side's
+    # root; steps are made only for the derivation returned.  ``dropped``
+    # counts the rewrites the cap cut off, which tells why a search that
+    # ran out of states stopped.
     max_size = max(len(sf), len(sg)) + size_slack
-    sides: dict[tuple[Factor, ...], tuple[str, tuple[Step, ...]]] = {}
+    search = _tables(theory).search
+    sides: dict[tuple[Factor, ...], tuple[str, _Node]] = {}
     frontiers = {"f": [], "g": []}
+    dropped = 0
 
     def admit(tag: str, state: tuple[Factor, ...],
-              path: tuple[Step, ...]) -> Optional[ProofResult]:
+              node: _Node) -> Optional[ProofResult]:
         if state in sides:
-            known_tag, known_path = sides[state]
+            known_tag, known = sides[state]
             if known_tag == tag:
                 return None
             if tag == "f":
-                return splice(path, known_path)
-            return splice(known_path, path)
-        sides[state] = (tag, path)
+                return splice(node, known)
+            return splice(known, node)
+        sides[state] = (tag, node)
         frontiers[tag].append(state)
         return None
 
-    for tag, state, path in (("f", sf, ()), ("g", sg, ()),
-                             ("f", nf_f, tuple(steps_f)),
-                             ("g", nf_g, tuple(steps_g))):
-        if len(state) <= max_size:
-            found = admit(tag, state, path)
-            if found:
-                return found
+    for tag, state, node in (("f", sf, (None, (), 0)), ("g", sg, (None, (), 0)),
+                             ("f", nf_f, greedy_f), ("g", nf_g, greedy_g)):
+        if len(state) > max_size:
+            dropped += 1
+            continue
+        found = admit(tag, state, node)
+        if found:
+            return found
 
     spent = {"f": 0, "g": 0}
     while spent["f"] + spent["g"] < depth and (frontiers["f"] or frontiers["g"]):
@@ -522,20 +626,24 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
         spent[tag] += 1
         expanding, frontiers[tag] = frontiers[tag], []
         for state in expanding:
-            base_path = sides[state][1]
-            for new_factors, step in rewrites(theory, src, state):
-                if len(new_factors) > max_size or new_factors in sides:
-                    if new_factors in sides and sides[new_factors][0] != tag:
-                        found = admit(tag, new_factors, base_path + (step,))
-                        if found:
-                            guard(new_factors)
-                            return found
+            base = sides[state][1]
+            for m, match in _matches(search, src, state):
+                new_factors = match[0]
+                known = sides.get(new_factors)
+                if known is None:
+                    if len(new_factors) > max_size:
+                        dropped += 1
+                        continue
+                    guard(new_factors)
+                elif known[0] == tag:
                     continue
-                guard(new_factors)
-                found = admit(tag, new_factors, base_path + (step,))
+                # Every state in sides has passed the guard already.
+                found = admit(tag, new_factors, (base, (m, match), base[2] + 1))
                 if found:
                     return found
-    return ProofResult(False)
+    if frontiers["f"] or frontiers["g"]:
+        return ProofResult("depth")
+    return ProofResult("size_cap" if dropped else "exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,8 @@ def test_prove(capsys):
     code, out, _ = invoke(capsys, "prove", "--theory", "splus_chi_op",
                           "box(delta_bb{e}) . chi_bb{e}",
                           "chi_bb{b} . box(chi_bb{e}) . delta_bb{b}")
-    assert code == UNKNOWN == 3 and out.strip() == "Unknown"
+    # The size cap dropped rewrites, so a larger slack may find one.
+    assert code == UNKNOWN == 3 and out.strip() == "Unknown (size_cap)"
 
 
 def test_hom(capsys):

@@ -17,7 +17,7 @@ from modalcoherence.rewrite import (
     prove_equal_bounded,
     search_depth,
 )
-from modalcoherence.schemas import SCHEMAS, build_side, instantiate
+from modalcoherence.schemas import SCHEMAS, build_side, instantiate, match_side
 from modalcoherence.terms import (
     Factor,
     Id,
@@ -171,13 +171,36 @@ def test_prove_unknown_on_unequal_images():
     assert not interp("s4_boxdia", lhs).same_as(interp("s4_boxdia", rhs))
 
 
+# Equal diagrams, but no derivation within the default size slack 2: the
+# cap drops the rewrites a derivation needs, and slack 3 finds one.
+_CHI_PAIR = (parse_term("box(delta_bb{e}) . chi_bb{e}"),
+             parse_term("chi_bb{b} . box(chi_bb{e}) . delta_bb{b}"))
+
+
 def test_prove_unknown_is_not_refuted():
-    # Equal diagrams, but no derivation within size slack 2.
-    lhs = parse_term("box(delta_bb{e}) . chi_bb{e}")
-    rhs = parse_term("chi_bb{b} . box(chi_bb{e}) . delta_bb{b}")
-    assert interp("splus_chi_op", lhs).same_as(interp("splus_chi_op", rhs))
-    result = prove_equal_bounded("splus_chi_op", lhs, rhs)
+    lhs, rhs = _CHI_PAIR
+    for tid in ("splus_chi_op", "s4_box_chi", "s4_boxdia_chi"):
+        assert interp(tid, lhs).same_as(interp(tid, rhs))
+        result = prove_equal_bounded(tid, lhs, rhs)
+        assert not result.proved and not result.refuted, tid
+        assert result.reason == "size_cap" and result.to_json() == "null"
+        result = prove_equal_bounded(tid, lhs, rhs, size_slack=3)
+        assert result.proved and result.reason == "proved", tid
+        assert len(result.steps) == 4
+
+
+def test_prove_reasons_of_unknown_results():
+    lhs, rhs = _CHI_PAIR
+    # No step budget: the frontiers still hold their roots.
+    assert prove_equal_bounded("splus_chi_op", lhs, rhs,
+                               depth=0).reason == "depth"
+    # Without equations no state has a rewrite, so none is dropped.
+    bare = replace(REGISTRY["s4_box"], id="s4_box_bare", equations=())
+    lhs, rhs = (factors_to_term(*side)
+                for side in instantiate(SCHEMAS["assoc_delta_bb"], ""))
+    result = prove_equal_bounded(bare, lhs, rhs)
     assert not result.proved and not result.refuted
+    assert result.reason == "exhausted"
 
 
 # An instance of delta_chi_bb: the greedy strategy rewrites the right side
@@ -228,6 +251,48 @@ def test_prove_depth_env_override(monkeypatch):
     monkeypatch.setenv("MODALCOHERENCE_DEPTH", "junk")
     assert search_depth() == 12
     assert search_depth(5) == 5
+
+
+def _unanchored_rewrites(theory, factors):
+    # Every schema side tried at every position under every strip depth,
+    # without anchors or kind codes.
+    for sid in theory.equations:
+        for direction in ("lr", "rl"):
+            schema = SCHEMAS[sid]
+            if schema.mirror_of is not None:
+                continue
+            frm, to = ((schema.lhs, schema.rhs) if direction == "lr"
+                       else (schema.rhs, schema.lhs))
+            if not frm:
+                continue
+            for i in range(len(factors) - len(frm) + 1):
+                segment = factors[i:i + len(frm)]
+                for s in range(len(segment[0].prefix) + 1):
+                    outer = segment[0].prefix[:s]
+                    bindings = match_side(frm, segment, outer=outer)
+                    if bindings is not None:
+                        new = [Factor(outer + g.prefix, g.kind, g.index)
+                               for g in build_side(to, bindings)]
+                        yield (factors[:i] + tuple(new)
+                               + factors[i + len(frm):],
+                               sid, direction, i, s)
+
+
+def test_kind_code_scan_finds_every_segment_rewrite():
+    from modalcoherence.rewrite import rewrites
+
+    rng = random.Random(14)
+    for tid in ("s5", "fives", "s4_boxdia_chi", "splus_chi_op", "s41"):
+        theory = REGISTRY[tid]
+        for _ in range(30):
+            term = random_term(tid, rng.choice(["", "b", "d", "bd", "db"]),
+                               rng.randint(0, 6), rng)
+            src, _, factors = term_factors(term)
+            factors = tuple(factors)
+            found = [(new, s.schema_id, s.direction, s.position, s.strip)
+                     for new, s in rewrites(theory, src, factors)
+                     if s.replaced]
+            assert found == list(_unanchored_rewrites(theory, factors))
 
 
 def test_derivation_steps_are_sound():
