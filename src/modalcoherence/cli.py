@@ -33,11 +33,11 @@ from .interp import (
 )
 from .quotient import skeleton
 from .rewrite import (
+    DEFAULT_DEPTH,
     SoundnessViolation,
     confluence_check,
     normalize,
     prove_equal_bounded,
-    search_depth,
 )
 from .simplicial import (
     embed_function,
@@ -104,7 +104,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("prove", help="search for an equational derivation")
     p.add_argument("--theory", required=True, choices=sorted(REGISTRY))
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("left")
     p.add_argument("right")
 
@@ -170,7 +170,7 @@ def _cmd_nf(args) -> int:
 def _cmd_prove(args) -> int:
     result = prove_equal_bounded(args.theory, parse_term(args.left),
                                  parse_term(args.right),
-                                 depth=search_depth(args.depth))
+                                 depth=args.depth)
     if result.proved:
         print(f"Proved in {len(result.steps)} steps")
         print(result.to_json())

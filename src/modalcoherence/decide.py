@@ -25,17 +25,19 @@ from .terms import (
     App,
     BOX,
     DIA,
-    DUAL_KIND,
+    MIRROR_KIND,
     Factor,
     GENERATORS,
     Gen,
     Id,
     TermError,
     chain_target,
+    dual_factors,
     dualize,
     factors_to_term,
     letter_at,
     map_term,
+    mirror_factor,
     rev_word,
     swap_word,
 )
@@ -277,8 +279,7 @@ def _synth_s5(d: dg.SplitEq) -> list[Factor]:
     d1 = dg.spliteq(d.src_len, len(both), stage1_classes, src, mid_word)
     factors = _synth_reduce_stage(d1)
     # Stage two: grow the middle word out to the target, built as the dual of
-    # a reduce stage: the dual of a factor chain is the reversed chain of
-    # dual factors, with every word letter-swapped.
+    # a reduce stage.
     stage2_classes = []
     for strand, (base, cls) in enumerate(both):
         members = [("t", j) for side, j in cls if side == "t"]
@@ -288,10 +289,7 @@ def _synth_s5(d: dg.SplitEq) -> list[Factor]:
         if not any(side == "s" for side, _ in cls):
             stage2_classes.append(list(cls))
     d2 = dg.spliteq(len(both), d.tgt_len, stage2_classes, mid_word, tgt)
-    stage2_factors = [
-        Factor(swap_word(f.prefix), DUAL_KIND[f.kind], swap_word(f.index))
-        for f in reversed(_synth_reduce_stage(_dualized(d2)))]
-    return factors + stage2_factors
+    return factors + dual_factors(_synth_reduce_stage(_dualized(d2)))
 
 
 _SYNTH_BY_DUAL = {"t_box": "t_dia", "k4_box": "k4_dia", "s4_box": "s4_dia"}
@@ -301,11 +299,12 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
     """Produce the staged-normal-form term whose interpretation is ``d``.
 
     Raises SynthesisError when the diagram is not in the functor's image (or
-    the theory has no synthesis procedure).  The result's image must equal
-    ``d``: a term synthesized in the dual theory is interpreted whole, and a
-    factor list synthesized directly is checked as :func:`interp` checks a
-    term (the chain of words, the theory's generators and index constraint)
-    and folded, without a walk of the term.
+    the theory has no synthesis procedure).  Every route yields a factor
+    list: a box theory's is the dual of the list synthesized in its diamond
+    partner, and fives' is the mirror image of the list synthesized in s5.
+    The list is checked once, as :func:`interp` checks a term (the chain of
+    words, the theory's generators and index constraint), and its image must
+    equal ``d``.
     """
     theory = get_theory(theory)
     src, tgt = _require_words(d)
@@ -314,28 +313,24 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
             f"theory {theory.id} has no {type(d).__name__} diagrams")
     if theory.id in _SYNTH_BY_DUAL:
         dual = _dualized(d)
-        term = dualize(factors_to_term(dual.src_word, _synth_staged(
-            get_theory(_SYNTH_BY_DUAL[theory.id]), dual)))
-        image = interp(theory, term)
+        staged = _synth_staged(get_theory(_SYNTH_BY_DUAL[theory.id]), dual)
+        factors = dual_factors(staged)
+    elif theory.id == "fives":
+        factors = [mirror_factor(f) for f in _synth_s5(dg.mirror(d))]
+    elif theory.id == "s5":
+        factors = _synth_s5(d)
+    elif theory.id in SYNTHESIS_THEORIES:
+        factors = _synth_staged(theory, d)
     else:
-        if theory.id == "fives":
-            factors = [mirror_factor(f, source="s5")
-                       for f in _synth_s5(dg.mirror(d))]
-        elif theory.id == "s5":
-            factors = _synth_s5(d)
-        elif theory.id in SYNTHESIS_THEORIES:
-            factors = _synth_staged(theory, d)
-        else:
-            raise SynthesisError(
-                f"no synthesis procedure for theory {theory.id}")
-        # What interp checks on a term, checked on its factors.
-        factor_tgt = chain_target(src, factors)
-        check_admitted(theory, factors)
-        image = _image(theory, STD, src, factor_tgt, factors)
-        term = factors_to_term(src, factors)
-    if not image.same_as(d):
+        raise SynthesisError(f"no synthesis procedure for theory {theory.id}")
+    factor_tgt = chain_target(src, factors)
+    check_admitted(theory, factors)
+    if not _image(theory, STD, src, factor_tgt, factors).same_as(d):
         raise SynthesisError("synthesis produced a term with a different image")
-    return term
+    if theory.id in _SYNTH_BY_DUAL:
+        # The dual of the staged term keeps its composites nested left.
+        return dualize(factors_to_term(dual.src_word, staged))
+    return factors_to_term(src, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +400,16 @@ class HomResult:
         return len(self.diagrams)
 
 
-def _enum_spliteq(theory: Theory, src: str, tgt: str) -> list[dg.SplitEq]:
-    """The arrows of s5 or fives from ``src`` to ``tgt``: the noncrossing
-    partitions of the boundary every class of which has a head shape.
+def _enum_spliteq(src: str, tgt: str) -> list[dg.SplitEq]:
+    """The arrows of s5 from ``src`` to ``tgt``: the noncrossing partitions
+    of the boundary every class of which has a head shape.
 
     Call a source box or a target diamond *marked*.  By
     :func:`class_shape`, a class has a shape exactly when it has one marked
-    member, its head, and in s5 the head is its lowest source or its lowest
-    target; in fives, whose shapes are the mirror images, its highest source
-    or its highest target.
-    Along the boundary cycle (sources at descending index, then targets at
-    ascending index) the s5 head is the last source or the first target of
-    its class, and the fives head is the class's first member if a source or
-    its last member if a target.
+    member, its head, and the head is its lowest source or its lowest
+    target.  Along the boundary cycle (sources at descending index, then
+    targets at ascending index) the head is the last source or the first
+    target of its class.
 
     The partitions of a segment ``[lo, hi)`` of the cycle are generated by
     choosing the class of ``lo`` one member at a time, dropping the choice
@@ -435,7 +427,6 @@ def _enum_spliteq(theory: Theory, src: str, tgt: str) -> list[dg.SplitEq]:
     cycle += [("t", j) for j in range(len(tgt))]
     marked = [letter_at(src, i) == BOX if side == "s" else
               letter_at(tgt, i) == DIA for side, i in cycle]
-    s5 = theory.id == "s5"
 
     def extends(members: tuple, head: Optional[int], nxt: int) -> bool:
         # Can ``nxt`` join the class ``members`` whose marked member is
@@ -443,13 +434,9 @@ def _enum_spliteq(theory: Theory, src: str, tgt: str) -> list[dg.SplitEq]:
         last = members[-1]
         if marked[nxt] and head is not None:
             return False
-        if s5:
-            if head == last and last < m and nxt < m:
-                return False  # a marked source followed by a source
-            return not (marked[nxt] and nxt >= m and last >= m)
-        if head == last and last >= m:
-            return False  # a marked target that is not the last member
-        return not (marked[nxt] and nxt < m)
+        if head == last and last < m and nxt < m:
+            return False  # a marked source followed by a source
+        return not (marked[nxt] and nxt >= m and last >= m)
 
     # Each segment's partitions are computed by a generator that yields the
     # segments it needs and is sent their partitions, so nesting depth costs
@@ -544,8 +531,12 @@ def enum_hom(q: HomQuery) -> HomResult:
     result = HomResult(q)
     arrows = None
     if theory.quotient is None and theory.target == "gen":
-        arrows = [(d, synthesize(theory, d))
-                  for d in _enum_spliteq(theory, q.src, q.tgt)]
+        if theory.id == "fives":  # the mirror images of s5's arrows
+            found = [dg.mirror(d) for d in
+                     _enum_spliteq(rev_word(q.src), rev_word(q.tgt))]
+        else:
+            found = _enum_spliteq(q.src, q.tgt)
+        arrows = [(d, synthesize(theory, d)) for d in found]
     elif theory.quotient is None and theory.target == "rel":
         arrows = _enum_rel_structural(theory, q.src, q.tgt)
     if arrows is None:
@@ -632,20 +623,14 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
 # The mirror isomorphism
 
 
-_MIRROR_FROM_S5 = {"eps_box": "eps_box", "eps_dia": "eps_dia",
-                   "delta_bb": "sigma_bb", "delta_dd": "sigma_dd",
-                   "delta_bd": "sigma_db", "delta_db": "sigma_bd"}
-_MIRROR_FROM_FIVES = {"eps_box": "eps_box", "eps_dia": "eps_dia",
-                      "sigma_bb": "delta_bb", "sigma_dd": "delta_dd",
-                      "sigma_db": "delta_bd", "sigma_bd": "delta_db"}
-
-
 def mirror_term(term: ArrowTerm, source: str = "s5") -> ArrowTerm:
     """Transport a term across the word-reversal isomorphism between the two
-    box/diamond-mixing theories (types reverse; interpretations mirror)."""
+    box/diamond-mixing theories (types reverse; interpretations mirror); the
+    factors of the result are the :func:`terms.mirror_factor` images of the
+    term's factors."""
     if source not in ("s5", "fives"):
         raise TermError("mirror_term source must be 's5' or 'fives'")
-    table = _MIRROR_FROM_S5 if source == "s5" else _MIRROR_FROM_FIVES
+    theory = get_theory(source)
 
     # An operator applied above a part moves to the right end of every
     # index word below it, so each leaf takes its reversed prefix as a
@@ -654,21 +639,14 @@ def mirror_term(term: ArrowTerm, source: str = "s5") -> ArrowTerm:
         ctx = prefix[::-1]
         if isinstance(t, Id):
             return Id(rev_word(t.word) + ctx)
-        if t.kind not in table:
+        if not theory.admits(t.kind):
             raise TermError(f"generator {t.kind} is not in theory {source}")
-        out: ArrowTerm = Gen(table[t.kind], ctx)
+        out: ArrowTerm = Gen(MIRROR_KIND[t.kind], ctx)
         for op in t.index:
             out = App(op, out)
         return out
 
     return map_term(term, leaf, lambda op, body: body)
-
-
-def mirror_factor(factor: Factor, source: str = "s5") -> Factor:
-    """The factor :func:`mirror_term` makes of a factor: its prefix and index
-    exchange places, each reversed."""
-    table = _MIRROR_FROM_S5 if source == "s5" else _MIRROR_FROM_FIVES
-    return Factor(factor.index[::-1], table[factor.kind], factor.prefix[::-1])
 
 
 # ---------------------------------------------------------------------------

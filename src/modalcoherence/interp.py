@@ -19,13 +19,24 @@ from typing import Iterable, Optional
 
 from . import diagram as dg
 from .quotient import j_arrow_factors, j_inv_factors, sharp
-from .terms import ArrowTerm, Factor, TermError, word_to_str
+from .schemas import build_side, get_schema, instantiate, open_sides
+from .terms import (
+    MIRROR_KIND,
+    ArrowTerm,
+    Factor,
+    TermError,
+    chain_target,
+    factors_to_term,
+    word_to_str,
+)
 from .theories import (
     GEN,
     REL,
     SHARP,
     TRIV,
     Theory,
+    applicable_factors,
+    check_admitted,
     get_theory,
     typed_factors,
 )
@@ -53,29 +64,14 @@ class VariantError(TermError):
 
 
 def check_variant(theory: Theory, variant: str) -> None:
-    if variant == STD:
-        if theory.quotient == SHARP:
-            return  # resolved to the sharp functor
-        if theory.quotient == TRIV:
-            raise VariantError(
-                f"{theory.id} is a preorder quotient; it has no diagram functor")
-        return
-    if variant in (EPS, DELTA):
-        allowed = _EPS_OK if variant == EPS else _DELTA_OK
-        if theory.id not in allowed:
-            raise VariantError(
-                f"variant {variant!r} only applies to the base-system theories")
-        return
-    if variant == DUAL:
-        if theory.id not in _DUAL_OK:
-            raise VariantError(f"variant 'dual' only applies to s5 and fives")
-        return
-    if variant == SHARP_VARIANT:
-        if theory.quotient != SHARP:
-            raise VariantError(
-                f"variant 'sharp' only applies to the sharp quotients")
-        return
-    raise VariantError(f"unknown functor variant {variant!r}")
+    if variant not in VARIANTS:
+        raise VariantError(f"unknown functor variant {variant!r}")
+    if theory.quotient == TRIV:
+        raise VariantError(
+            f"{theory.id} is a preorder quotient; it has no diagram functor")
+    if variant not in admitted_variants(theory):
+        raise VariantError(
+            f"variant {variant!r} does not apply to theory {theory.id}")
 
 
 def admitted_variants(theory: "Theory | str") -> list[str]:
@@ -227,11 +223,9 @@ def side_frame(theory: Theory, variant: str) -> Frame:
     if variant == SHARP_VARIANT or (variant == STD and theory.quotient == SHARP):
         return _SHARP_FRAMES[theory.base.target]
     if variant == DUAL and theory.id == "fives":
-        from .decide import _MIRROR_FROM_FIVES
-
         dual = _CLAUSES[GEN, DUAL]
-        return Frame(GEN, DUAL, {kind: dual[image] for kind, image
-                                 in _MIRROR_FROM_FIVES.items()}, mirror=True)
+        return Frame(GEN, DUAL, {kind: dual[MIRROR_KIND[kind]]
+                                 for kind in theory.generators}, mirror=True)
     return plain_frame(theory.target, variant)
 
 
@@ -354,10 +348,6 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
     compared, and mirroring both relabels both alike.  A failure is rebuilt
     with ``schemas.instantiate`` to be printed.
     """
-    from .schemas import build_side, get_schema, instantiate, open_sides
-    from .terms import chain_target, factors_to_term
-    from .theories import applicable_factors, check_admitted
-
     theory = get_theory(theory)
     frame = None
     if theory.quotient != TRIV:

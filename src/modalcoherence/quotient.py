@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import diagram as dg
+from .schemas import get_schema, instantiate
 from .terms import (
     App,
     ArrowTerm,
@@ -28,6 +29,7 @@ from .terms import (
     chain_target,
     check_word,
     factors_to_term,
+    parse_term,
     word_to_str,
 )
 from .theories import SHARP, Theory, get_theory, typecheck, typed_factors
@@ -156,8 +158,6 @@ class SkeletonDiagram:
 
 
 def _parse_all(entries: list[tuple[str, str, str]]) -> tuple[SkeletonArrow, ...]:
-    from .terms import parse_term
-
     return tuple(SkeletonArrow(src, tgt, parse_term(text))
                  for src, tgt, text in entries)
 
@@ -223,8 +223,6 @@ def preordering_catalog(theory: "Theory | str", word: str = "",
     theory to a preorder, instantiated at the given index word.  The
     counit-collapse equations head the list; for the mirrored theory the
     catalog is the mirror image."""
-    from .schemas import get_schema, instantiate
-
     theory = get_theory(theory)
     base = theory.base.id if theory.quotient else theory.id
     if base == "s5":

@@ -16,10 +16,10 @@ interpretation.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
+from .decide import SYNTHESIS_THEORIES, synthesize
 from .interp import STD, _image, fold
 from .schemas import SCHEMAS, GenPat, Side, build_side, get_schema, match_side
 from .terms import (
@@ -30,26 +30,18 @@ from .terms import (
     chain_target,
     factors_to_term,
     term_factors,
+    word_to_str,
 )
 from .theories import (
     STAGE_NUMBERS,
     Theory,
     check_admitted,
+    enumerate_factor_terms,
     get_theory,
     typed_factors,
 )
 
 DEFAULT_DEPTH = 12
-_DEPTH_ENV = "MODALCOHERENCE_DEPTH"
-
-
-def search_depth(depth: Optional[int] = None) -> int:
-    if depth is not None:
-        return depth
-    try:
-        return int(os.environ[_DEPTH_ENV])
-    except (KeyError, ValueError):
-        return DEFAULT_DEPTH
 
 
 def develop(term: ArrowTerm) -> ArrowTerm:
@@ -89,8 +81,6 @@ def derivation_to_json(steps: list[Step]) -> str:
 
 
 def _describe_bindings(bindings: dict) -> str:
-    from .terms import factors_to_term, word_to_str
-
     parts = []
     for key in ("A", "B"):
         if key in bindings:
@@ -451,8 +441,6 @@ def normalize(theory: "Theory | str", term: ArrowTerm) -> ArrowTerm:
     if theory.id in _REWRITE_NF:
         nf, _steps = directed_normalize(theory, src, tuple(factors))
         return factors_to_term(src, list(nf))
-    from .decide import SYNTHESIS_THEORIES, synthesize
-
     if theory.id in SYNTHESIS_THEORIES:
         return synthesize(theory, _image(theory, STD, src, tgt, factors))
     raise TermError(f"theory {theory.id} has no declared normal form")
@@ -519,7 +507,7 @@ class SoundnessViolation(TermError):
 
 
 def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
-                        depth: Optional[int] = None,
+                        depth: int = DEFAULT_DEPTH,
                         size_slack: int = 2) -> ProofResult:
     """Search for an equational derivation joining f and g.
 
@@ -533,7 +521,6 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
     theory = get_theory(theory)
     if theory.quotient is not None:
         raise TermError("proof search applies to the unquotiented theories")
-    depth = search_depth(depth)
     src, ftgt, sf = typed_factors(f, theory)
     gsrc, gtgt, sg = typed_factors(g, theory)
     if (src, ftgt) != (gsrc, gtgt):
@@ -676,8 +663,6 @@ def confluence_check(theory: "Theory | str", size_bound: int,
                      src_words: Optional[list[str]] = None) -> ConfluenceReport:
     """Exhaustively verify that every maximal oriented-rewrite sequence from
     every term up to the size bound ends in one and the same normal form."""
-    from .theories import enumerate_factor_terms
-
     theory = get_theory(theory)
     if src_words is None:
         letters = sorted({GENERATORS_LETTER[k] for k in theory.generators

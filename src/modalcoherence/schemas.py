@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .terms import GENERATORS, Factor, TermError, chain_target
+from .terms import GENERATORS, Factor, TermError, chain_target, mirror_factor
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class EquationSchema:
     # schemas one of whose sides is an identity.
     identity_word: Optional[tuple[str, str]] = None
     # A mirrored schema has no patterns of its own: its instances are the
-    # mirror images (decide.mirror_factor) of this s5 schema's instances.
+    # mirror images (terms.mirror_factor) of this s5 schema's instances.
     mirror_of: Optional[str] = None
 
     @property
@@ -144,8 +144,6 @@ def open_sides(schema: EquationSchema, word: str,
     of its base schema's sides at the reversed word.
     """
     if schema.mirror_of is not None:
-        from .decide import mirror_factor
-
         base = get_schema(schema.mirror_of)
         return tuple((src[::-1], [mirror_factor(f) for f in factors], None, ())
                      for src, factors, _, _ in open_sides(base, word[::-1]))

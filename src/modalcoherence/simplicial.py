@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from .decide import synthesize
 from .diagram import RelDiagram, rel
 from .terms import ArrowTerm, DIA, TermError
 
@@ -174,8 +175,6 @@ def _check_kind(h: FinMap, need: str) -> None:
 
 
 def _embed(h: FinMap, theory: str) -> ArrowTerm:
-    from .decide import synthesize
-
     d = h.graph(DIA * h.dom, DIA * h.cod)
     return synthesize(theory, d)
 

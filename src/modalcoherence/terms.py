@@ -113,6 +113,21 @@ DUAL_KIND = {
     "sigma_dd": "sigma_bb",
 }
 
+# The mirror: reverse every word, exchanging each generator of s5 with its
+# counterpart in fives (the counits are their own images).
+MIRROR_KIND = {
+    "eps_box": "eps_box",
+    "eps_dia": "eps_dia",
+    "delta_bb": "sigma_bb",
+    "sigma_bb": "delta_bb",
+    "delta_dd": "sigma_dd",
+    "sigma_dd": "delta_dd",
+    "delta_bd": "sigma_db",
+    "sigma_db": "delta_bd",
+    "delta_db": "sigma_bd",
+    "sigma_bd": "delta_db",
+}
+
 
 @dataclass(frozen=True)
 class Id:
@@ -546,3 +561,17 @@ def factors_to_term(src: str, factors: list[Factor]) -> ArrowTerm:
     for factor in factors[1:]:
         term = Comp(factor.to_term(), term)
     return term
+
+
+def mirror_factor(factor: Factor) -> Factor:
+    """The mirror image of a factor: its prefix and index exchange places,
+    each reversed, and its kind is exchanged by :data:`MIRROR_KIND`."""
+    return Factor(factor.index[::-1], MIRROR_KIND[factor.kind],
+                  factor.prefix[::-1])
+
+
+def dual_factors(factors: list[Factor]) -> list[Factor]:
+    """The factors of the dual (:func:`dualize`) of the term that ``factors``
+    spell: the dual factors in reverse order, every word letter-swapped."""
+    return [Factor(swap_word(f.prefix), DUAL_KIND[f.kind], swap_word(f.index))
+            for f in reversed(factors)]

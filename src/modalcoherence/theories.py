@@ -220,34 +220,6 @@ STAGE_NUMBERS: dict[str, dict[str, int]] = {
     for tid, stages in STAGES.items()
 }
 
-# Theories whose opposite is again a registered theory (self-dual entries map
-# to themselves).  Used by dualize checks.
-DUAL_THEORY = {
-    "t_box": "t_dia", "t_dia": "t_box",
-    "k4_box": "k4_dia", "k4_dia": "k4_box",
-    "s4_box": "s4_dia", "s4_dia": "s4_box",
-    "s4_box_chi": "s4_dia_chi", "s4_dia_chi": "s4_box_chi",
-    "t_boxdia": "t_boxdia", "k4_boxdia": "k4_boxdia",
-    "s4_boxdia": "s4_boxdia", "s4_boxdia_chi": "s4_boxdia_chi",
-    "s42": "s42", "s41": "s41", "s42_iso": "s42_iso",
-    "s5": "s5", "fives": "fives",
-    "s4_boxdia_sharp": "s4_boxdia_sharp", "s42_sharp": "s42_sharp",
-    "s4_boxdia_triv": "s4_boxdia_triv", "s42_triv": "s42_triv",
-    "s5_triv": "s5_triv", "fives_triv": "fives_triv",
-}
-
-
-def dual_theory(theory: "Theory | str") -> Theory:
-    """The registered opposite theory (self-dual theories map to themselves);
-    errors when the dualized generator set is not registered."""
-    theory = get_theory(theory)
-    dual_id = DUAL_THEORY.get(theory.id)
-    if dual_id is None:
-        raise TheoryError(
-            f"theory {theory.id} has no registered dual counterpart")
-    return get_theory(dual_id)
-
-
 def get_theory(theory: "Theory | str") -> Theory:
     if isinstance(theory, Theory):
         return theory

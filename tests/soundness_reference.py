@@ -10,7 +10,6 @@ the library; clause mutations made there reach both sweeps alike.
 
 from typing import Optional
 
-from modalcoherence.decide import mirror_factor
 from modalcoherence.interp import (
     DUAL,
     SHARP_VARIANT,
@@ -31,7 +30,13 @@ from modalcoherence.schemas import (
     get_schema,
 )
 from modalcoherence import diagram as dg
-from modalcoherence.terms import Factor, TermError, chain_target, factors_to_term
+from modalcoherence.terms import (
+    Factor,
+    TermError,
+    chain_target,
+    factors_to_term,
+    mirror_factor,
+)
 from modalcoherence.theories import (
     GEN,
     SHARP,
@@ -96,7 +101,7 @@ def _image(theory: Theory, variant: str, src: str, tgt: str,
     if variant == SHARP_VARIANT or (variant == STD and theory.quotient == SHARP):
         return sharp_image(theory, src, tgt, factors)
     if variant == DUAL and theory.id == "fives":
-        mirrored = [mirror_factor(f, source="fives") for f in factors]
+        mirrored = [mirror_factor(f) for f in factors]
         return dg.mirror(fold(GEN, DUAL, src[::-1], mirrored))
     return fold(theory.target, variant, src, factors)
 

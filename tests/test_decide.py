@@ -13,6 +13,7 @@ from modalcoherence.decide import (
     HomResult,
     SYNTHESIS_THEORIES,
     SynthesisError,
+    _SYNTH_BY_DUAL,
     _bounded_search,
     _enum_spliteq,
     enum_hom,
@@ -228,8 +229,8 @@ def test_enum_hom_spliteq_counts():
 
 def test_enum_spliteq_on_long_words():
     # Segments nest once per boundary point; the generator must not recurse.
-    for tid, src, tgt in (("s5", "b" * 1500, ""), ("fives", "", "d" * 1500)):
-        (only,) = _enum_spliteq(get_theory(tid), src, tgt)
+    for src, tgt in (("b" * 1500, ""), ("", "d" * 1500)):
+        (only,) = _enum_spliteq(src, tgt)
         assert all(len(cls) == 1 for cls in only.classes)
 
 
@@ -274,6 +275,37 @@ def test_mirror_term_rejects_wrong_generators():
         mirror_term(parse_term("delta_bd{e}"), source="fives")
 
 
+def test_mirror_and_dual_tables():
+    from modalcoherence.terms import (
+        DUAL_KIND,
+        MIRROR_KIND,
+        dual_factors,
+        dualize,
+        mirror_factor,
+        term_factors,
+    )
+
+    for table in (MIRROR_KIND, DUAL_KIND):
+        assert all(table[image] == kind for kind, image in table.items())
+    s5, fives = get_theory("s5").generators, get_theory("fives").generators
+    assert set(MIRROR_KIND) == s5 | fives
+    assert {MIRROR_KIND[k] for k in s5} == fives
+    assert {MIRROR_KIND[k] for k in fives} == s5
+    for box, dia in _SYNTH_BY_DUAL.items():
+        assert ({DUAL_KIND[k] for k in get_theory(box).generators}
+                == get_theory(dia).generators)
+    rng = random.Random(71)
+    for tid in ("s5", "fives", *_SYNTH_BY_DUAL):
+        for _ in range(40):
+            t = random_term(tid, rng.choice(["", "b", "d", "bd", "db"]),
+                            rng.randint(0, 6), rng)
+            factors = term_factors(t)[2]
+            assert term_factors(dualize(t))[2] == dual_factors(factors)
+            if tid in ("s5", "fives"):
+                assert term_factors(mirror_term(t, source=tid))[2] == [
+                    mirror_factor(f) for f in factors]
+
+
 def test_synthesize_interp_identity_property():
     # Composing the two directions is the identity on diagrams and the
     # equality class of terms.
@@ -302,23 +334,18 @@ def test_enum_hom_quotients():
         enum_hom(HomQuery("s5_triv", "b", "d"))
 
 
-def test_dual_theory_pairing():
-    from modalcoherence.theories import TheoryError, dual_theory
+def test_dualize_types_in_the_dual_theory():
     from modalcoherence.terms import dualize
     from modalcoherence.theories import typecheck
 
-    assert dual_theory("s4_box").id == "s4_dia"
-    assert dual_theory("s42").id == "s42"
-    with pytest.raises(TheoryError):
-        dual_theory("s_chi")
-    with pytest.raises(TheoryError):
-        dual_theory("splus_chi_op")
     rng = random.Random(43)
-    for tid in ("t_box", "s4_box", "s4_box_chi", "s42", "s5"):
+    for tid, dual in (("t_box", "t_dia"), ("s4_box", "s4_dia"),
+                      ("s4_box_chi", "s4_dia_chi"), ("s42", "s42"),
+                      ("s5", "s5")):
         for _ in range(25):
             t = random_term(tid, rng.choice(["", "b", "d", "bd"]),
                             rng.randint(0, 4), rng)
-            typecheck(dualize(t), dual_theory(tid))
+            typecheck(dualize(t), dual)
 
 
 def test_enum_hom_structural_matches_bounded_search():

@@ -10,7 +10,7 @@ import soundness_reference
 
 from modalcoherence import cli
 from modalcoherence import diagram as dg
-from modalcoherence.decide import mirror_factor, mirror_term, random_term
+from modalcoherence.decide import mirror_term, random_term
 from modalcoherence.interp import (
     EQUAL,
     NOT_EQUAL,
@@ -22,7 +22,13 @@ from modalcoherence.interp import (
     interp,
 )
 from modalcoherence.schemas import SCHEMAS
-from modalcoherence.terms import Gen, parse_term, term_factors, term_type
+from modalcoherence.terms import (
+    Gen,
+    mirror_factor,
+    parse_term,
+    term_factors,
+    term_type,
+)
 from modalcoherence.theories import REGISTRY, typecheck
 
 
@@ -306,7 +312,7 @@ def test_mirror_factor_matches_mirror_term():
             src, tgt, factors = term_factors(t)
             assert term_factors(mirror_term(t, source=source)) == (
                 src[::-1], tgt[::-1],
-                [mirror_factor(f, source=source) for f in factors])
+                [mirror_factor(f) for f in factors])
 
 
 def test_noncrossing_images():

@@ -15,7 +15,6 @@ from modalcoherence.rewrite import (
     directed_normalize,
     normalize,
     prove_equal_bounded,
-    search_depth,
 )
 from modalcoherence.schemas import SCHEMAS, build_side, instantiate, match_side
 from modalcoherence.terms import (
@@ -243,14 +242,6 @@ def test_prove_requires_same_type():
     with pytest.raises(TermError):
         prove_equal_bounded("s4_box", parse_term("eps_box{e}"),
                             parse_term("delta_bb{e}"))
-
-
-def test_prove_depth_env_override(monkeypatch):
-    monkeypatch.setenv("MODALCOHERENCE_DEPTH", "3")
-    assert search_depth() == 3
-    monkeypatch.setenv("MODALCOHERENCE_DEPTH", "junk")
-    assert search_depth() == 12
-    assert search_depth(5) == 5
 
 
 def _unanchored_rewrites(theory, factors):
