@@ -16,6 +16,14 @@ well) at budget 6.  It was recorded by the search that folded every path
 whole, so it pins that stepping strand tables finds the same arrows, in the
 same order, with the same witnesses.
 
+``data/hom_structural.json`` holds the same fields as ``hom_spliteq.json``
+for the relational theories whose hom-sets are exact (the box theories, their
+diamond partners, s_chi and s4_dia_chi), over every word pair with at most
+six boundary points.  It was recorded while each box theory's arrows were
+the duals of its diamond partner's arrows, with dualized witness trees, so it
+pins that building a box witness from the dual factor list gives the same
+left-nested composites.
+
 Regenerate the files (only when an arrow list is meant to change) with
 ``PYTHONPATH=src python tests/test_hom_golden.py``.
 """
@@ -31,6 +39,7 @@ from modalcoherence.decide import HomQuery, enum_hom
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "hom_spliteq.json"
 GOLDEN_BOUNDED = DATA / "hom_bounded.json"
+GOLDEN_STRUCTURAL = DATA / "hom_structural.json"
 THEORIES = ("s5", "fives")
 # (boundary points, pairs sampled per theory)
 SAMPLES = ((8, 6), (10, 3))
@@ -38,6 +47,8 @@ BOUNDED_THEORIES = (
     "s4_boxdia", "s42", "s4_box_chi", "s4_boxdia_chi", "splus_chi_op",
     "t_boxdia", "k4_boxdia", "s41", "s42_iso", "s4_boxdia_sharp", "s42_sharp")
 BOUNDED_EXTRA_WORDS = {"s4_boxdia": ("bdb", "dbd")}
+STRUCTURAL_THEORIES = ("t_box", "t_dia", "k4_box", "k4_dia", "s4_box",
+                       "s4_dia", "s_chi", "s4_dia_chi")
 
 
 def _words(n: int) -> list[str]:
@@ -72,10 +83,19 @@ def _bounded_pairs() -> list[tuple[str, str, str]]:
     return pairs
 
 
+def _structural_pairs() -> list[tuple[str, str, str]]:
+    return [(theory, src, tgt)
+            for theory in STRUCTURAL_THEORIES
+            for points in range(7)
+            for m in range(points + 1)
+            for src in _words(m)
+            for tgt in _words(points - m)]
+
+
 def _entry(theory: str, src: str, tgt: str) -> dict:
     result = enum_hom(HomQuery(theory, src, tgt, 6))
     entry = {"theory": theory, "src": src, "tgt": tgt}
-    if theory in THEORIES:
+    if theory in THEORIES or theory in STRUCTURAL_THEORIES:
         assert result.complete
     else:
         entry["complete"] = result.complete
@@ -103,6 +123,15 @@ def test_golden_hom_bounded():
     assert _record(_bounded_pairs()) == text
 
 
+def test_golden_hom_structural():
+    text = GOLDEN_STRUCTURAL.read_text()
+    entries = json.loads(text)
+    assert len(entries) == 6152
+    assert sum(len(e["arrows"]) for e in entries) == 750
+    assert _record(_structural_pairs()) == text
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(_record(_pairs()))
     GOLDEN_BOUNDED.write_text(_record(_bounded_pairs()))
+    GOLDEN_STRUCTURAL.write_text(_record(_structural_pairs()))
