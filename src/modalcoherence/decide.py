@@ -19,11 +19,12 @@ from random import Random
 from typing import Optional
 
 from . import diagram as dg
-from .interp import STD, _image, fold, interp, plain_frame
+from .interp import STD, _image, fold, plain_frame
 from .terms import (
     ArrowTerm,
     App,
     BOX,
+    Comp,
     DIA,
     MIRROR_KIND,
     Factor,
@@ -32,8 +33,8 @@ from .terms import (
     Id,
     TermError,
     chain_target,
+    check_word,
     dual_factors,
-    dualize,
     factors_to_term,
     letter_at,
     map_term,
@@ -90,17 +91,11 @@ class _Builder:
         self.word = prefix + tgt_pre + index
 
 
-def _dualized(d: dg.Diagram) -> dg.Diagram:
+def _dualized(d: dg.RelDiagram) -> dg.RelDiagram:
     """Converse with both boundary words letter-swapped; this matches the
     action of term dualization on interpretations."""
-    flipped = dg.converse(d)
-    def sw(w):
-        return swap_word(w) if w is not None else None
-    if isinstance(flipped, dg.RelDiagram):
-        return dg.RelDiagram(flipped.src_len, flipped.tgt_len, flipped.pairs,
-                             sw(flipped.src_word), sw(flipped.tgt_word))
-    return dg.SplitEq(flipped.src_len, flipped.tgt_len, flipped.classes,
-                      sw(flipped.src_word), sw(flipped.tgt_word))
+    return dg.rel(d.tgt_len, d.src_len, ((j, i) for i, j in d.pairs),
+                  swap_word(d.tgt_word), swap_word(d.src_word))
 
 
 # ---------------------------------------------------------------------------
@@ -196,34 +191,22 @@ def class_shape(d: dg.SplitEq, cls: tuple) -> Optional[str]:
     return None
 
 
-def _s5_shapes_ok(d: dg.SplitEq) -> bool:
-    _require_words(d)
-    return all(class_shape(d, cls) is not None for cls in d.classes)
-
-
-def _synth_reduce_stage(d: dg.SplitEq) -> list[Factor]:
-    """Kill/cup synthesis for diagrams every class of which has at most one
-    target element, targets appearing in class order."""
-    src, tgt = _require_words(d)
-    class_of: dict[int, int] = {}
-    target_of: dict[int, Optional[int]] = {}
-    for num, cls in enumerate(d.classes):
-        targets = [j for side, j in cls if side == "t"]
-        if len(targets) > 1:
-            raise SynthesisError("reduce stage needs at most one target per class")
-        target_of[num] = targets[0] if targets else None
-        for side, i in cls:
-            if side == "s":
-                class_of[i] = num
-    builder = _Builder(get_theory("s5"), src)
-    strands = [class_of[i] for i in range(d.src_len)]
+def _kill_cup(word: str, strands: list[int], strand_of: dict[int, int],
+              tgt: str) -> list[Factor]:
+    """Kill/cup synthesis on ``word``, whose letters carry the classes
+    ``strands`` bottom-up: diamond cups join adjacent letters of one class,
+    and a class's last letter, a box, is killed when the class has no strand
+    in ``strand_of``, at the largest position first.  The letters must end
+    up as the strands 0, 1, ... in order, on the word ``tgt``."""
+    builder = _Builder(get_theory("s5"), word)
+    strands = list(strands)
     remaining = {num: strands.count(num) for num in set(strands)}
     while True:
         cup_at = [p for p in range(len(strands) - 1)
                   if strands[p] == strands[p + 1]
                   and letter_at(builder.word, p + 1) == DIA]
         kill_at = [p for p in range(len(strands))
-                   if target_of[strands[p]] is None and remaining[strands[p]] == 1
+                   if strands[p] not in strand_of and remaining[strands[p]] == 1
                    and letter_at(builder.word, p) == BOX]
         best_cup = cup_at[-1] if cup_at else -1
         best_kill = kill_at[-1] if kill_at else -1
@@ -241,8 +224,7 @@ def _synth_reduce_stage(d: dg.SplitEq) -> list[Factor]:
             builder.emit("eps_box", p)
             remaining[strands[p]] -= 1
             del strands[p]
-    produced = [target_of[num] for num in strands]
-    if produced != list(range(d.tgt_len)):
+    if [strand_of.get(num) for num in strands] != list(range(len(strand_of))):
         raise SynthesisError("class strands do not line up with the middle word")
     if builder.word != tgt:
         raise SynthesisError(f"middle word mismatch: {builder.word!r} != {tgt!r}")
@@ -250,87 +232,108 @@ def _synth_reduce_stage(d: dg.SplitEq) -> list[Factor]:
 
 
 def _synth_s5(d: dg.SplitEq) -> list[Factor]:
-    """Two-stage synthesis: a kill/cup stage (counit-box and diamond cups)
-    followed by a birth/cap stage (counit-diamond and box caps)."""
+    """Two-stage synthesis read off the partition.  Each class with sources
+    and targets is one strand of a middle word, in the order of its lowest
+    source, with its shape for a letter.  A kill/cup stage (counit-box and
+    diamond cups) reduces the source word onto the middle word; a birth/cap
+    stage (counit-diamond and box caps) grows it out to the target word, as
+    the dual of the kill/cup stage of the letter-swapped target word."""
     src, tgt = _require_words(d)
     if not dg.is_noncrossing(d):
         raise SynthesisError("diagram is not planar")
-    if not _s5_shapes_ok(d):
-        raise SynthesisError("a class violates the head-shape discipline")
-    both = []
-    for cls in d.classes:
-        sources = sorted(i for side, i in cls if side == "s")
-        targets = sorted(j for side, j in cls if side == "t")
-        if sources and targets:
-            both.append((sources[0], cls))
-    both.sort()
-    mid_word = ""
-    for _, cls in reversed(both):
-        mid_word += class_shape(d, cls)
-    # Stage one: reduce the source word onto the middle word.
-    stage1_classes = []
-    for strand, (base, cls) in enumerate(both):
-        members = [("s", i) for side, i in cls if side == "s"]
-        members.append(("t", strand))
-        stage1_classes.append(members)
-    for cls in d.classes:
-        if not any(side == "t" for side, _ in cls):
-            stage1_classes.append(list(cls))
-    d1 = dg.spliteq(d.src_len, len(both), stage1_classes, src, mid_word)
-    factors = _synth_reduce_stage(d1)
-    # Stage two: grow the middle word out to the target, built as the dual of
-    # a reduce stage.
-    stage2_classes = []
-    for strand, (base, cls) in enumerate(both):
-        members = [("t", j) for side, j in cls if side == "t"]
-        members.append(("s", strand))
-        stage2_classes.append(members)
-    for cls in d.classes:
-        if not any(side == "s" for side, _ in cls):
-            stage2_classes.append(list(cls))
-    d2 = dg.spliteq(len(both), d.tgt_len, stage2_classes, mid_word, tgt)
-    return factors + dual_factors(_synth_reduce_stage(_dualized(d2)))
+    src_class, tgt_class = [0] * d.src_len, [0] * d.tgt_len
+    shapes = []
+    for num, cls in enumerate(d.classes):
+        shapes.append(class_shape(d, cls))
+        if shapes[-1] is None:
+            raise SynthesisError("a class violates the head-shape discipline")
+        for side, i in cls:
+            (src_class if side == "s" else tgt_class)[i] = num
+    with_targets = set(tgt_class)
+    strand_of: dict[int, int] = {}
+    for num in src_class:
+        if num in with_targets and num not in strand_of:
+            strand_of[num] = len(strand_of)
+    mid = "".join(shapes[num] for num in reversed(strand_of))
+    return (_kill_cup(src, src_class, strand_of, mid)
+            + dual_factors(_kill_cup(swap_word(tgt), tgt_class, strand_of,
+                                     swap_word(mid))))
 
 
-_SYNTH_BY_DUAL = {"t_box": "t_dia", "k4_box": "k4_dia", "s4_box": "s4_dia"}
+# ---------------------------------------------------------------------------
+# Synthesis routes through a partner theory
+
+
+def _left_nested(src: str, factors: list[Factor]) -> ArrowTerm:
+    """The composite of the factors nested to the left, first factor
+    innermost: the shape :func:`terms.dualize` gives the dual of a staged
+    term, whose composites nest to the right."""
+    if not factors:
+        return Id(src)
+    term = factors[-1].to_term()
+    for factor in reversed(factors[:-1]):
+        term = Comp(term, factor.to_term())
+    return term
+
+
+# A theory synthesized in a partner theory, by the partner's id and the maps
+# that carry a word pair, a diagram and a factor list between the two (each
+# map is its own inverse), with the builder of the witness tree from the
+# carried factor list.  A box theory's partner is its dual diamond theory,
+# and fives' is s5, its mirror image.
+_DUAL = (lambda src, tgt: (swap_word(tgt), swap_word(src)), _dualized,
+         dual_factors, _left_nested)
+_PARTNERS = {
+    "t_box": ("t_dia", *_DUAL),
+    "k4_box": ("k4_dia", *_DUAL),
+    "s4_box": ("s4_dia", *_DUAL),
+    "fives": ("s5", lambda src, tgt: (rev_word(src), rev_word(tgt)), dg.mirror,
+              lambda factors: [mirror_factor(f) for f in factors],
+              factors_to_term),
+}
+
+
+def _staged(theory: Theory, d: dg.Diagram) -> list[Factor]:
+    """The theory's staged factor list for ``d``, unchecked; a theory with a
+    partner carries ``d`` to it and the partner's list back."""
+    if theory.id in _PARTNERS:
+        partner, _, diagram, factors, _ = _PARTNERS[theory.id]
+        return factors(_staged(get_theory(partner), diagram(d)))
+    if theory.id == "s5":
+        return _synth_s5(d)
+    if theory.id not in SYNTHESIS_THEORIES:
+        raise SynthesisError(f"no synthesis procedure for theory {theory.id}")
+    return _synth_staged(theory, d)
+
+
+def _witness(theory: Theory, d: dg.Diagram, factors: list[Factor]) -> ArrowTerm:
+    """Check a staged factor list once, as :func:`interp.interp` checks a
+    term (the chain of words, the theory's generators and index constraint),
+    with an image that must equal ``d``; then build its tree."""
+    src = d.src_word
+    factor_tgt = chain_target(src, factors)
+    check_admitted(theory, factors)
+    if not _image(theory, STD, src, factor_tgt, factors).same_as(d):
+        raise SynthesisError("synthesis produced a term with a different image")
+    build = _PARTNERS[theory.id][4] if theory.id in _PARTNERS else factors_to_term
+    return build(src, factors)
 
 
 def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
     """Produce the staged-normal-form term whose interpretation is ``d``.
 
     Raises SynthesisError when the diagram is not in the functor's image (or
-    the theory has no synthesis procedure).  Every route yields a factor
-    list: a box theory's is the dual of the list synthesized in its diamond
-    partner, and fives' is the mirror image of the list synthesized in s5.
-    The list is checked once, as :func:`interp` checks a term (the chain of
-    words, the theory's generators and index constraint), and its image must
-    equal ``d``.
+    the theory has no synthesis procedure).  The staged factor list comes
+    from :func:`_staged`, and is checked once in this theory.  A box
+    theory's term nests its composites to the left, as the dual of its
+    diamond partner's staged term does.
     """
     theory = get_theory(theory)
-    src, tgt = _require_words(d)
+    _require_words(d)
     if isinstance(d, dg.SplitEq) != (theory.target == GEN):
         raise SynthesisError(
             f"theory {theory.id} has no {type(d).__name__} diagrams")
-    if theory.id in _SYNTH_BY_DUAL:
-        dual = _dualized(d)
-        staged = _synth_staged(get_theory(_SYNTH_BY_DUAL[theory.id]), dual)
-        factors = dual_factors(staged)
-    elif theory.id == "fives":
-        factors = [mirror_factor(f) for f in _synth_s5(dg.mirror(d))]
-    elif theory.id == "s5":
-        factors = _synth_s5(d)
-    elif theory.id in SYNTHESIS_THEORIES:
-        factors = _synth_staged(theory, d)
-    else:
-        raise SynthesisError(f"no synthesis procedure for theory {theory.id}")
-    factor_tgt = chain_target(src, factors)
-    check_admitted(theory, factors)
-    if not _image(theory, STD, src, factor_tgt, factors).same_as(d):
-        raise SynthesisError("synthesis produced a term with a different image")
-    if theory.id in _SYNTH_BY_DUAL:
-        # The dual of the staged term keeps its composites nested left.
-        return dualize(factors_to_term(dual.src_word, staged))
-    return factors_to_term(src, factors)
+    return _witness(theory, d, _staged(theory, d))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +359,6 @@ def realizable(theory: "Theory | str", d: dg.Diagram,
     """
     theory = get_theory(theory)
     _require_words(d)
-    if theory.id in ("s5", "fives"):
-        if not isinstance(d, dg.SplitEq):
-            return False
-        dd = d if theory.id == "s5" else dg.mirror(d)
-        return bool(dg.is_noncrossing(dd) and _s5_shapes_ok(dd))
     if theory.id in SYNTHESIS_THEORIES:
         try:
             synthesize(theory, d)
@@ -384,6 +382,8 @@ class HomQuery:
     witness_budget: int = 6
 
     def __post_init__(self):
+        check_word(self.src)
+        check_word(self.tgt)
         if self.witness_budget < 0:
             raise ValueError(f"witness budget must be non-negative, "
                              f"got {self.witness_budget}")
@@ -480,39 +480,42 @@ def _enum_spliteq(src: str, tgt: str) -> list[dg.SplitEq]:
             for part in memo[whole]]
 
 
-def _enum_rel_structural(theory: Theory, src: str, tgt: str
-                         ) -> Optional[list[tuple[dg.RelDiagram, ArrowTerm]]]:
-    """The arrows of a relational theory whose image has an exact structural
-    characterization, each with its witness term; None for the others.
-    Every candidate is synthesized once, and it is an arrow exactly when
-    synthesis succeeds."""
+def _exact_arrows(theory: Theory, src: str, tgt: str
+                  ) -> Optional[list[tuple[dg.Diagram, list[Factor]]]]:
+    """The arrows of a theory whose image has an exact characterization,
+    each with its unchecked staged factor list; None for the others.  A
+    theory with a partner carries the partner's arrows back.  Every
+    relational candidate runs the staged route once, and it is an arrow
+    exactly when the route succeeds."""
+    if theory.id in _PARTNERS:
+        partner, words, diagram, factors, _ = _PARTNERS[theory.id]
+        inner = _exact_arrows(get_theory(partner), *words(src, tgt))
+        return [(diagram(d), factors(found)) for d, found in inner]
+    if theory.id == "s5":
+        return [(d, _synth_s5(d)) for d in _enum_spliteq(src, tgt)]
     m, n = len(src), len(tgt)
-    if theory.id in _SYNTH_BY_DUAL:
-        dual = get_theory(_SYNTH_BY_DUAL[theory.id])
-        inner = _enum_rel_structural(dual, swap_word(tgt), swap_word(src))
-        return [(_dualized(found), dualize(term)) for found, term in inner]
-    if theory.id in ("s4_dia", "t_dia", "k4_dia", "s4_dia_chi"):
-        if theory.id == "s4_dia":
-            value_iter = itertools.combinations_with_replacement(range(n), m)
-        elif theory.id == "t_dia":
-            value_iter = itertools.combinations(range(n), m)
-        elif theory.id == "k4_dia":
-            value_iter = (v for v in
-                          itertools.combinations_with_replacement(range(n), m)
-                          if len(set(v)) == n)
-        else:
-            value_iter = itertools.product(range(n), repeat=m)
-        candidates = (dg.rel(m, n, ((i, values[i]) for i in range(m)), src, tgt)
-                      for values in value_iter)
+    # A diamond theory's arrows are maps from sources to targets, and
+    # s_chi's are the converses of injections of targets into sources.
+    if theory.id == "s4_dia":
+        graphs = map(enumerate, itertools.combinations_with_replacement(range(n), m))
+    elif theory.id == "t_dia":
+        graphs = map(enumerate, itertools.combinations(range(n), m))
+    elif theory.id == "k4_dia":
+        graphs = map(enumerate, (
+            v for v in itertools.combinations_with_replacement(range(n), m)
+            if len(set(v)) == n))
+    elif theory.id == "s4_dia_chi":
+        graphs = map(enumerate, itertools.product(range(n), repeat=m))
     elif theory.id == "s_chi":
-        candidates = (dg.rel(m, n, ((chosen[j], j) for j in range(n)), src, tgt)
-                      for chosen in itertools.permutations(range(m), n))
+        graphs = (zip(chosen, range(n))
+                  for chosen in itertools.permutations(range(m), n))
     else:
         return None
     out = []
-    for cand in candidates:
+    for pairs in graphs:
+        cand = dg.rel(m, n, pairs, src, tgt)
         try:
-            out.append((cand, synthesize(theory, cand)))
+            out.append((cand, _synth_staged(theory, cand)))
         except SynthesisError:
             pass
     return out
@@ -520,32 +523,24 @@ def _enum_rel_structural(theory: Theory, src: str, tgt: str
 
 def enum_hom(q: HomQuery) -> HomResult:
     """Enumerate Hom(src, tgt): exactly for structurally-characterized
-    theories, by bounded witness search otherwise.  For the sharp quotients
-    the found arrows are identified under the conjugated functor; the
-    preorder quotients have no diagram functor and are rejected.
+    theories, by bounded witness search otherwise.  Every exact arrow's
+    factor list is checked once in the theory asked.  For the sharp
+    quotients the found arrows are identified under the conjugated functor;
+    the preorder quotients have no diagram functor and are rejected.
     """
     theory = get_theory(q.theory)
     if theory.quotient == "triv":
         raise TermError(
             f"{theory.id} is a preorder; hom-sets have no diagram enumeration")
     result = HomResult(q)
-    arrows = None
-    if theory.quotient is None and theory.target == "gen":
-        if theory.id == "fives":  # the mirror images of s5's arrows
-            found = [dg.mirror(d) for d in
-                     _enum_spliteq(rev_word(q.src), rev_word(q.tgt))]
-        else:
-            found = _enum_spliteq(q.src, q.tgt)
-        arrows = [(d, synthesize(theory, d)) for d in found]
-    elif theory.quotient is None and theory.target == "rel":
-        arrows = _enum_rel_structural(theory, q.src, q.tgt)
+    arrows = _exact_arrows(theory, q.src, q.tgt)
     if arrows is None:
         result.complete = False
         _bounded_search(theory, q, result)
     else:
-        for d, term in arrows:
+        for d, factors in arrows:
             result.diagrams.append(d)
-            result.witnesses[d.key()] = term
+            result.witnesses[d.key()] = _witness(theory, d, factors)
     result.diagrams.sort(key=lambda d: d.key())
     return result
 
@@ -607,16 +602,15 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
             factor, path = path
             factors.append(factor)
         factors.reverse()
-        arrows.append((fold(REL, STD, q.src, factors),
-                       factors_to_term(q.src, factors)))
+        arrows.append((fold(REL, STD, q.src, factors), factors))
     arrows.sort(key=lambda arrow: arrow[0].key())
-    for diag, term in arrows:
+    for diag, factors in arrows:
         if theory.quotient is not None:
-            diag = interp(theory, term)
+            diag = _image(theory, STD, q.src, q.tgt, factors)
             if any(diag.same_as(seen) for seen in result.diagrams):
                 continue  # identified by the quotient functor
         result.diagrams.append(diag)
-        result.witnesses[diag.key()] = term
+        result.witnesses[diag.key()] = factors_to_term(q.src, factors)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,9 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
     with ``schemas.instantiate`` to be printed.
     """
     theory = get_theory(theory)
+    for name, bound in (("idx_bound", idx_bound), ("f_bound", f_bound)):
+        if bound < 0:
+            raise ValueError(f"{name} must be non-negative, got {bound}")
     frame = None
     if theory.quotient != TRIV:
         check_variant(theory, variant)

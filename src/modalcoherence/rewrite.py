@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .decide import SYNTHESIS_THEORIES, synthesize
 from .interp import STD, _image, fold
-from .schemas import SCHEMAS, GenPat, Side, build_side, get_schema, match_side
+from .schemas import SCHEMAS, GenPat, Side, build_side, match_side
 from .terms import (
     GENERATORS,
     ArrowTerm,
@@ -237,18 +237,11 @@ def _step(m: _Matcher, position: int, strip: int, inserted: int,
 
 
 def rewrites(theory: Theory, src: str, factors: tuple[Factor, ...],
-             directions: tuple[str, ...] = ("lr", "rl"),
-             schema_ids: Optional[tuple[str, ...]] = None,
              ) -> Iterator[tuple[tuple[Factor, ...], Step]]:
-    """All one-step rewrites of a spine by the theory's schemas."""
-    matchers = []
-    for schema_id in (schema_ids if schema_ids is not None else theory.equations):
-        if schema_id not in SCHEMAS:
-            get_schema(schema_id)  # raises the unknown-schema error
-        # Instance-only schemas have no matcher.
-        matchers += [_MATCHERS[schema_id, d] for d in directions
-                     if (schema_id, d) in _MATCHERS]
-    for m, (new_factors, *match) in _matches(tuple(matchers), src, factors):
+    """All one-step rewrites of a spine by the theory's schemas, in both
+    directions."""
+    for m, (new_factors, *match) in _matches(_tables(theory).search, src,
+                                             factors):
         yield new_factors, _step(m, *match)
 
 
@@ -298,9 +291,12 @@ _NATURALITIES = (
 )
 
 
-# Generators whose target word is longer than their source word.
-_EXPANDING = {"eps_dia", "delta_bb", "delta_bd", "sigma_bb", "sigma_db"}
-_NEUTRAL = {"chi_bb", "chi_dd", "chi_db", "chi_bd"}
+# Generators whose target word is longer than their source word, and those
+# (the permutations) that keep its length.
+_EXPANDING = {kind for kind, (src_pre, tgt_pre) in GENERATORS.items()
+              if len(tgt_pre) > len(src_pre)}
+_NEUTRAL = {kind for kind, (src_pre, tgt_pre) in GENERATORS.items()
+            if len(tgt_pre) == len(src_pre)}
 
 
 def _sort_key(factor: Factor) -> tuple[int, int]:
@@ -357,9 +353,11 @@ def _tables(theory: Theory) -> _Tables:
     return tables
 
 
+_MAX_STEPS = 400
+
+
 def directed_normalize(theory: "Theory | str", src: str,
                        factors: tuple[Factor, ...],
-                       max_steps: int = 400,
                        ) -> tuple[tuple[Factor, ...], list[Step]]:
     """Greedy oriented rewriting: contract, fix stage order, sort stages.
 
@@ -371,7 +369,7 @@ def directed_normalize(theory: "Theory | str", src: str,
     steps: list[Step] = []
     seen = {factors}
     current = factors
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         code = _spine_code(current)
         step = None
         for m in oriented:
@@ -519,6 +517,9 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
     otherwise it is unknown, which never means inequality.
     """
     theory = get_theory(theory)
+    for name, bound in (("depth", depth), ("size_slack", size_slack)):
+        if bound < 0:
+            raise ValueError(f"{name} must be non-negative, got {bound}")
     if theory.quotient is not None:
         raise TermError("proof search applies to the unquotiented theories")
     src, ftgt, sf = typed_factors(f, theory)
@@ -650,13 +651,10 @@ class ConfluenceReport:
         return not self.divergences
 
 
-def _oriented_steps(theory: Theory, src: str, factors: tuple[Factor, ...]):
-    ids = tuple(sid for sid in theory.equations if sid in _NATURALITIES)
-    yield from rewrites(theory, src, factors, ("lr",), ids)
-    ids = tuple((sid, d) for sid, d in _SHRINKERS.items()
-                if sid in theory.equations)
-    for sid, d in ids:
-        yield from rewrites(theory, src, factors, (d,), (sid,))
+GENERATORS_LETTER = {
+    "eps_box": "b", "delta_bb": "b", "chi_bb": "b",
+    "eps_dia": "d", "delta_dd": "d", "chi_dd": "d",
+}
 
 
 def confluence_check(theory: "Theory | str", size_bound: int,
@@ -669,13 +667,17 @@ def confluence_check(theory: "Theory | str", size_bound: int,
                           if k in GENERATORS_LETTER})
         letter = letters[0] if letters else "b"
         src_words = [letter * k for k in range(size_bound + 2)]
+    # The naturalities left to right, then the shrinkers in their directions.
+    keys = [(sid, "lr") for sid in theory.equations if sid in _NATURALITIES]
+    keys += [(sid, d) for sid, d in _SHRINKERS.items() if sid in theory.equations]
+    oriented = tuple(_MATCHERS[key] for key in keys if key in _MATCHERS)
     cache: dict = {}
 
     def all_nfs(state: tuple[str, tuple[Factor, ...]]) -> frozenset:
         if state in cache:
             return cache[state]
         src, factors = state
-        reducts = [(src, nf) for nf, _ in _oriented_steps(theory, src, factors)]
+        reducts = [(src, nf) for _, (nf, *_) in _matches(oriented, src, factors)]
         if not reducts:
             result = frozenset([state])
         else:
@@ -692,7 +694,9 @@ def confluence_check(theory: "Theory | str", size_bound: int,
             state = (src, tuple(factors))
             nfs = all_nfs(state)
             if len(nfs) != 1:
-                divergences.append((state, tuple(sorted(nfs))))
+                # Factors have no order; sort the normal forms by their fields.
+                divergences.append((state, tuple(sorted(nfs, key=lambda nf: (
+                    nf[0], [(f.prefix, f.kind, f.index) for f in nf[1]])))))
             else:
                 nf = next(iter(nfs))
                 tgt = _boundary_words(*state)[-1]
@@ -700,8 +704,3 @@ def confluence_check(theory: "Theory | str", size_bound: int,
     return ConfluenceReport(theory.id, size_bound, checked, divergences,
                             normal_forms)
 
-
-GENERATORS_LETTER = {
-    "eps_box": "b", "delta_bb": "b", "chi_bb": "b",
-    "eps_dia": "d", "delta_dd": "d", "chi_dd": "d",
-}

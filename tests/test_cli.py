@@ -152,6 +152,21 @@ def test_check_suites(capsys):
     assert code == 0
 
 
+def test_check_confluence_reports_divergences(capsys):
+    # The normal forms of a divergence are sorted by their factors' fields.
+    code, out, err = invoke(capsys, "check", "--suite", "confluence",
+                            "--theory", "s_chi", "--bound", "3")
+    assert code == 1 and err == ""
+    assert out.strip() == "s_chi: 343 terms, 11 divergences"
+
+
+def test_prove_negative_depth_is_bad_input(capsys):
+    code, out, err = invoke(capsys, "prove", "--theory", "s5", "--depth", "-1",
+                            "eps_box{e}", "eps_box{e}")
+    assert code == DOMAIN_ERROR and out == ""
+    assert "depth must be non-negative" in err
+
+
 def test_check_soundness_runs_every_admitted_variant(capsys):
     code, out, _ = invoke(capsys, "check", "--suite", "soundness",
                           "--theory", "t_box", "--bound", "1")

@@ -13,7 +13,7 @@ from modalcoherence.decide import (
     HomResult,
     SYNTHESIS_THEORIES,
     SynthesisError,
-    _SYNTH_BY_DUAL,
+    _PARTNERS,
     _bounded_search,
     _enum_spliteq,
     enum_hom,
@@ -154,6 +154,14 @@ def test_enum_hom_bounded_search_budget():
         realizable("s41", dg.rel_identity(1, "b"), budget=-1)
 
 
+def test_hom_query_checks_its_words():
+    # A bad word is bad input, not an empty hom-set or a synthesis failure.
+    for theory, src, tgt in (("s5", "bx", "b"), ("fives", "bd", "q")):
+        with pytest.raises(TermError, match="bad modality word") as caught:
+            HomQuery(theory, src, tgt)
+        assert not isinstance(caught.value, SynthesisError)
+
+
 def test_bounded_search_needs_a_relational_base():
     # s5 and fives are enumerated exactly; searching their split
     # equivalences by relation tables would be wrong, so it raises.
@@ -291,11 +299,13 @@ def test_mirror_and_dual_tables():
     assert set(MIRROR_KIND) == s5 | fives
     assert {MIRROR_KIND[k] for k in s5} == fives
     assert {MIRROR_KIND[k] for k in fives} == s5
-    for box, dia in _SYNTH_BY_DUAL.items():
+    dual_pairs = {box: entry[0] for box, entry in _PARTNERS.items()
+                  if box != "fives"}
+    for box, dia in dual_pairs.items():
         assert ({DUAL_KIND[k] for k in get_theory(box).generators}
                 == get_theory(dia).generators)
     rng = random.Random(71)
-    for tid in ("s5", "fives", *_SYNTH_BY_DUAL):
+    for tid in ("s5", "fives", *dual_pairs):
         for _ in range(40):
             t = random_term(tid, rng.choice(["", "b", "d", "bd", "db"]),
                             rng.randint(0, 6), rng)

@@ -275,6 +275,15 @@ def test_soundness_instance_counts():
         assert report.instances == expected, key
 
 
+def test_soundness_rejects_negative_bounds():
+    # A negative arrow bound would skip every naturality instance and still
+    # report a passing sweep.
+    for bounds in ({"idx_bound": -1}, {"idx_bound": 1, "f_bound": -1}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            check_soundness("s5", "std", **bounds)
+    assert check_soundness("s5", "std", idx_bound=0, f_bound=0).passed
+
+
 def test_decide_equal_verdicts():
     lhs = parse_term("box(delta_db{e}) . delta_bd{b}")
     rhs = parse_term("delta_bb{e} . delta_db{e}")

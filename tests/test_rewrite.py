@@ -202,6 +202,14 @@ def test_prove_reasons_of_unknown_results():
     assert result.reason == "exhausted"
 
 
+def test_prove_rejects_negative_budgets():
+    lhs, rhs = _CHI_PAIR
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        prove_equal_bounded("splus_chi_op", lhs, rhs, depth=-1)
+    with pytest.raises(ValueError, match="size_slack must be non-negative"):
+        prove_equal_bounded("splus_chi_op", lhs, rhs, size_slack=-1)
+
+
 # An instance of delta_chi_bb: the greedy strategy rewrites the right side
 # into the left one, building a side that contains chi_bb.
 _DELTA_CHI = (parse_term("delta_bb{b} . chi_bb{e}"),
