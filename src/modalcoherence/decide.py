@@ -427,6 +427,9 @@ def _enum_spliteq(src: str, tgt: str) -> list[dg.SplitEq]:
     cycle += [("t", j) for j in range(len(tgt))]
     marked = [letter_at(src, i) == BOX if side == "s" else
               letter_at(tgt, i) == DIA for side, i in cycle]
+    # marks[k]: the marked positions before k.  A nonempty segment with none
+    # has no partition, since every class needs its marked member.
+    marks = list(itertools.accumulate(marked, initial=0))
 
     def extends(members: tuple, head: Optional[int], nxt: int) -> bool:
         # Can ``nxt`` join the class ``members`` whose marked member is
@@ -447,7 +450,11 @@ def _enum_spliteq(src: str, tgt: str) -> list[dg.SplitEq]:
         while stack:
             members, head, gaps = stack.pop()
             last = members[-1]
+            if head is None and marks[hi] == marks[last + 1]:
+                continue  # no marked member is left to join
             for nxt in range(last + 1, hi):
+                if nxt > last + 1 and marks[nxt] == marks[last + 1]:
+                    continue  # the gap before nxt has no partition
                 if extends(members, head, nxt) and (yield (last + 1, nxt)):
                     stack.append((members + (nxt,),
                                   nxt if marked[nxt] else head,

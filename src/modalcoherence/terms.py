@@ -254,6 +254,22 @@ class Comp:
     __repr__ = _term_repr
     __str__ = _term_str
 
+    # What a parsed root carries (see parse_term) is found on the instance;
+    # this default keeps other composites away from __getattr__.
+    _spine = None
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute the instance lacks.  A root that
+        # parse_term left unbuilt holds its checked text; its two parts are
+        # built from it on the first read of either.
+        text = self.__dict__.get("_text")
+        if text is None or name not in ("outer", "inner"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        built = _build(text)
+        self.__dict__.update(outer=built.outer, inner=built.inner)
+        return self.__dict__[name]
+
 
 ArrowTerm = Union[Id, Gen, App, Comp]
 
@@ -312,25 +328,16 @@ def _leaf_error(text: str, match: re.Match) -> ParseError:
     return ParseError("expected '{modality}'", _token(text, at + len(value))[2])
 
 
-def _chain(atoms: list[ArrowTerm]) -> ArrowTerm:
-    term = atoms.pop()
-    while atoms:  # '.' is right-associative
-        term = Comp(atoms.pop(), term)
-    return term
+def _leaves(text: str):
+    """Check a text and read it leaf by leaf, in text order.
 
-
-def parse_term(text: str) -> ArrowTerm:
-    """Parse the concrete syntax; printing the result re-parses identically.
-
-    Each match of _LEAF reads one leaf with its wrappers.  The wrappers that
-    the same match closes apply to the leaf at once; the chains still open
-    are kept on an explicit stack, so the nesting depth is not bounded by
-    the recursion limit.
+    Each match of _LEAF reads one leaf with its wrappers.  Yields, per leaf,
+    its wrappers outermost first (the operator letter for ``box(`` or
+    ``dia(``, "(" for a bare parenthesis), its name and index word, and the
+    number of ``)`` after it; raises the ParseError of the first fault, at
+    the leaf where it shows or after the last leaf.
     """
-    # (wrapper, atoms) per open chain: the wrapper is None for the whole
-    # input, "(" inside parentheses and the operator letter inside
-    # box(...) or dia(...).
-    chains: list[tuple[Optional[str], list[ArrowTerm]]] = [(None, [])]
+    depth = 1  # the chains open, the whole input included
     pos = 0
     while True:
         match = _LEAF.match(text, pos)
@@ -343,15 +350,41 @@ def parse_term(text: str) -> ArrowTerm:
         elif not word or word.strip(BOX + DIA):
             raise ParseError(f"bad modality {word!r} (use 'e' or letters b/d)",
                              match.start(3) - 1)
-        term = Id(word) if name == "id" else Gen(name, word)
-        # The wrappers of this match, outermost first: the operator letter
-        # for box( or dia( and "(" for a bare parenthesis.
         wrappers = "".join(opens.split()).replace("box(", BOX).replace(
             "dia(", DIA) if opens else ""
         closing = closes.count(")")
-        if closing >= len(wrappers) + len(chains):  # a ')' past the input
-            skip = ")".join(closes.split(")")[:len(wrappers) + len(chains)])
+        if closing >= len(wrappers) + depth:  # a ')' past the input
+            skip = ")".join(closes.split(")")[:len(wrappers) + depth])
             raise ParseError("trailing input ')'", match.start(4) + len(skip))
+        depth += len(wrappers) - closing
+        yield wrappers, name, word, closing
+        if dot is None:
+            break
+        pos = match.end()
+    if depth > 1:
+        raise ParseError("expected ')'", _token(text, match.end())[2])
+    if match.end() < len(text):
+        _, value, at = _token(text, match.end())
+        raise ParseError(f"trailing input {value!r}", at)
+
+
+def _chain(atoms: list[ArrowTerm]) -> ArrowTerm:
+    term = atoms.pop()
+    while atoms:  # '.' is right-associative
+        term = Comp(atoms.pop(), term)
+    return term
+
+
+def _build(text: str) -> ArrowTerm:
+    """The tree of a text.  The wrappers that a leaf's own match closes
+    apply to it at once; the chains still open are kept on an explicit
+    stack, so the nesting depth is not bounded by the recursion limit."""
+    # (wrapper, atoms) per open chain: the wrapper is None for the whole
+    # input, "(" inside parentheses and the operator letter inside
+    # box(...) or dia(...).
+    chains: list[tuple[Optional[str], list[ArrowTerm]]] = [(None, [])]
+    for wrappers, name, word, closing in _leaves(text):
+        term = Id(word) if name == "id" else Gen(name, word)
         shut = min(closing, len(wrappers))
         for wrapper in reversed(wrappers[len(wrappers) - shut:]):
             if wrapper != "(":
@@ -365,15 +398,69 @@ def parse_term(text: str) -> ArrowTerm:
             if wrapper != "(":
                 term = App(wrapper, term)
         chains[-1][1].append(term)
-        if dot is None:
-            break
-        pos = match.end()
-    if len(chains) > 1:
-        raise ParseError("expected ')'", _token(text, match.end())[2])
-    if match.end() < len(text):
-        _, value, at = _token(text, match.end())
-        raise ParseError(f"trailing input {value!r}", at)
     return _chain(chains[0][1])
+
+
+def parse_term(text: str) -> ArrowTerm:
+    """Parse the concrete syntax; printing the result re-parses identically.
+
+    One scan checks the text and computes its spine, the triple
+    :func:`term_factors` returns, which the root carries.  A leaf's prefix
+    is the operator letters still open around it, and the leaves apply in
+    reverse text order, so each leaf must end where the leaf before it in
+    the text starts.  A text with a composition mismatch carries no spine,
+    and :func:`term_factors` walks its tree to report the mismatch.
+
+    When the text is a chain at top level, the root is a :class:`Comp`
+    whose two parts are built from the checked text when either is first
+    read; a caller that reads only the spine never builds the tree.
+    """
+    # The prefix of each open chain extends the prefix of the chain around
+    # it, so the innermost one is kept whole and the others by length.
+    lengths = [0]  # the prefix length of each open chain
+    open_prefix = ""  # the prefix of the innermost open chain
+    factors: list[Factor] = []  # in text order
+    tgt = need = None  # the target, and the source of the leaf before
+    typed = True
+    items = 0  # at top level
+    for wrappers, name, word, closing in _leaves(text):
+        # The outermost ``opened`` wrappers open chains; the others close
+        # after the leaf, as do ``-opened`` chains already open.
+        opened = len(wrappers) - closing
+        if opened > 0:
+            length = len(open_prefix)
+            for wrapper in wrappers[:opened]:
+                length += wrapper != "("
+                lengths.append(length)
+            open_prefix += wrappers[:opened].replace("(", "")
+            wrappers = wrappers[opened:]
+        prefix = open_prefix + wrappers.replace("(", "")
+        if opened < 0:
+            del lengths[opened:]
+            open_prefix = open_prefix[:lengths[-1]]
+        if len(lengths) == 1:
+            items += 1
+        if name == "id":
+            leaf_src = leaf_tgt = prefix + word
+        else:
+            src_pre, tgt_pre = GENERATORS[name]
+            leaf_src = prefix + src_pre + word
+            leaf_tgt = prefix + tgt_pre + word
+            factors.append(Factor(prefix, name, word))
+        if need is None:
+            tgt = leaf_tgt
+        elif need != leaf_tgt:
+            typed = False
+        need = leaf_src
+    if items > 1:
+        root = Comp.__new__(Comp)
+        root.__dict__["_text"] = text
+    else:
+        root = _build(text)
+    if typed:
+        factors.reverse()
+        root.__dict__["_spine"] = (need, tgt, tuple(factors))
+    return root
 
 
 def term_to_str(term: ArrowTerm) -> str:
@@ -478,13 +565,17 @@ class Factor:
 
 def term_factors(term: ArrowTerm) -> tuple[str, str, list[Factor]]:
     """Walk a term once, without recursion: its source word, its target word
-    and its factors in application order.
+    and its factors in application order.  A parsed term carries these
+    from the parse, and a copy of them is returned.
 
     The walk checks every word and every composition.  A composite is
     well-typed exactly when each leaf (a generator or an identity, under its
     operator prefix) starts where the leaf applied before it ends, so the
     leaves are compared in the order they apply.
     """
+    spine = getattr(term, "_spine", None)
+    if spine is not None:
+        return spine[0], spine[1], list(spine[2])
     factors: list[Factor] = []
     src = tgt = None
     stack: list[tuple[ArrowTerm, str]] = [(term, "")]

@@ -252,6 +252,18 @@ def test_enum_hom_long_word_synthesizes_in_linear_time():
     assert result.complete and len(result) == 1
 
 
+@pytest.mark.parametrize("theory", ["s5", "fives"])
+@pytest.mark.parametrize("n", [200, 600])
+def test_enum_hom_skips_segments_without_a_marked_point(theory, n):
+    # One arrow: every point joins the target diamond, the only marked one.
+    # A segment without a marked point has no partition and is skipped;
+    # trying each one is quartic in n and took half a minute at n = 200.
+    start = time.perf_counter()
+    result = enum_hom(HomQuery(theory, "d" * n, "d"))
+    assert time.perf_counter() - start < 5
+    assert result.complete and len(result) == 1
+
+
 def test_mirror_term_examples():
     t = mirror_term(parse_term("delta_bd{e}"))
     assert str(t) == "sigma_db{e}"

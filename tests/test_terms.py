@@ -1,5 +1,7 @@
 """Term language: parsing, printing, typing, duality, context append."""
 
+import copy
+import pickle
 import random
 import re
 
@@ -27,7 +29,8 @@ from modalcoherence.terms import (
 )
 from modalcoherence.theories import raw_splus, typecheck, TheoryError
 from modalcoherence.decide import mirror_term, random_term
-from modalcoherence.interp import interp
+from modalcoherence.interp import decide_equal, interp
+from modalcoherence.rewrite import normalize, prove_equal_bounded
 from modalcoherence import diagram as dg
 
 
@@ -105,15 +108,27 @@ def _parse_outcome(parse, text):
         return error
 
 
+def _factors_outcome(term):
+    try:
+        return term_factors(term)
+    except TypingError as error:
+        return "TypingError", str(error)
+
+
 def test_parser_agrees_with_reference_on_fuzzed_text():
     # Both parsers give the same tree, or both reject the text with a
     # position inside it; which error they report first may differ, since
-    # the reference tokenizes the whole text before it parses.
+    # the reference tokenizes the whole text before it parses.  The spine a
+    # parsed term carries is the one a walk of the reference tree finds, or
+    # both raise the same TypingError; it is read before the tree is built.
     rng = random.Random(2024)
-    accepted = 0
+    accepted = mismatched = 0
     for _ in range(20_000):
         clean, edited = _fuzz_texts(rng)
-        assert parse_term(clean) == parse_reference.parse_term(clean), clean
+        reference = parse_reference.parse_term(clean)
+        ours = parse_term(clean)
+        assert _factors_outcome(ours) == _factors_outcome(reference), clean
+        assert ours == reference, clean
         ours = _parse_outcome(parse_term, edited)
         theirs = _parse_outcome(parse_reference.parse_term, edited)
         if isinstance(ours, ParseError) or isinstance(theirs, ParseError):
@@ -121,9 +136,71 @@ def test_parser_agrees_with_reference_on_fuzzed_text():
             assert isinstance(theirs, ParseError), edited
             assert 0 <= ours.position <= len(edited), edited
         else:
+            spine = _factors_outcome(ours)
+            assert spine == _factors_outcome(theirs), edited
+            mismatched += spine[0] == "TypingError"
             assert ours == theirs, edited
             accepted += 1
-    assert accepted >= 500
+    assert accepted >= 500 and mismatched >= 50
+
+
+# A typed chain at top level, with a parenthesized composite and an
+# identity in it, equal in s5 to delta_bb{e}.
+_CHAIN = "box(eps_box{b}) . (box(delta_bb{e}) . id{bb}) . delta_bb{e}"
+
+
+def _unbuilt(term):
+    return type(term) is Comp and not {"outer", "inner"} & vars(term).keys()
+
+
+def test_parsed_chain_reads_like_the_eager_tree():
+    eager = parse_reference.parse_term(_CHAIN)
+    assert _unbuilt(parse_term(_CHAIN))
+    assert parse_term(_CHAIN) == eager and eager == parse_term(_CHAIN)
+    assert hash(parse_term(_CHAIN)) == hash(eager)
+    assert repr(parse_term(_CHAIN)) == repr(eager)
+    assert str(parse_term(_CHAIN)) == str(eager) == _CHAIN
+    built = parse_term(_CHAIN)
+    built.outer
+    for term in (parse_term(_CHAIN), built):
+        for copied in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+            assert type(copied) is Comp and copied == eager
+            assert term_factors(copied) == term_factors(eager)
+
+
+def test_parsed_chain_builds_one_tree_whichever_part_is_read_first():
+    eager = parse_reference.parse_term(_CHAIN)
+    inner_first, outer_first = parse_term(_CHAIN), parse_term(_CHAIN)
+    inner, outer = inner_first.inner, outer_first.outer
+    assert inner == eager.inner and outer == eager.outer
+    assert (inner_first.outer, outer_first.inner) == (eager.outer, eager.inner)
+    assert inner_first.inner is inner and outer_first.outer is outer
+    # A second build writes an equal tree over the first.
+    assert inner_first.__getattr__("outer") == eager.outer
+    assert inner_first == eager and term_factors(inner_first) == \
+        term_factors(eager)
+
+
+def test_parsed_chain_rejects_unknown_attributes_unbuilt():
+    term = parse_term(_CHAIN)
+    with pytest.raises(AttributeError, match="nosuch"):
+        term.nosuch
+    assert not hasattr(term, "_nosuch") and _unbuilt(term)
+    with pytest.raises(AttributeError, match="nosuch"):
+        parse_reference.parse_term(_CHAIN).nosuch
+
+
+def test_engines_read_the_parsed_spine_without_building_the_tree():
+    f, g = parse_term(_CHAIN), parse_term("id{bb} . delta_bb{e}")
+    assert decide_equal("s5", f, g)
+    assert typecheck(f, "s5") == ("b", "bb")
+    assert prove_equal_bounded("s5", f, g)
+    normal = normalize("s5", f)
+    assert _unbuilt(f) and _unbuilt(g)
+    # Normal forms are eager trees of the four node classes.
+    assert normal == parse_term("delta_bb{e}") and type(normal) is Gen
+    chain = normalize("s5", parse_term("delta_bb{b} . " + _CHAIN))
+    assert type(chain) is Comp and {"outer", "inner"} <= vars(chain).keys()
 
 
 @pytest.mark.parametrize("text", [
@@ -168,13 +245,21 @@ def test_typing_table():
 
 
 def test_term_factors_on_any_tree_shape():
-    # Right- and left-nested composites and an operator over a composite
-    # have the same spine.
+    # Right- and left-nested composites, an operator over a composite and
+    # parentheses around either have the same spine, which the parse
+    # carries.
     texts = ["box(eps_box{b}) . box(delta_bb{e}) . delta_bb{e}",
              "(box(eps_box{b}) . box(delta_bb{e})) . delta_bb{e}",
-             "box(eps_box{b} . delta_bb{e}) . delta_bb{e}"]
-    spines = [term_factors(parse_term(text)) for text in texts]
-    assert spines[0] == spines[1] == spines[2]
+             "box(eps_box{b} . delta_bb{e}) . delta_bb{e}",
+             "(box(eps_box{b} . delta_bb{e}) . id{bb}) . delta_bb{e}",
+             "((box((eps_box{b}) . delta_bb{e}))) . (delta_bb{e})",
+             "box((eps_box{b}) . (id{bb} . delta_bb{e})) . delta_bb{e}"]
+    parsed = [parse_term(text) for text in texts]
+    assert all("_spine" in vars(term) for term in parsed)
+    spines = [term_factors(term) for term in parsed]
+    assert spines == [term_factors(parse_reference.parse_term(text))
+                      for text in texts]
+    assert all(spine == spines[0] for spine in spines)
     assert spines[0][:2] == ("b", "bb")
     assert [(f.prefix, f.kind) for f in spines[0][2]] == [
         ("", "delta_bb"), ("b", "delta_bb"), ("b", "eps_box")]
