@@ -255,20 +255,35 @@ class Comp:
     __str__ = _term_str
 
     # What a parsed root carries (see parse_term) is found on the instance;
-    # this default keeps other composites away from __getattr__.
+    # this default keeps term_factors to one lookup on other composites.
     _spine = None
 
-    def __getattr__(self, name: str):
-        # Called only for an attribute the instance lacks.  A root that
-        # parse_term left unbuilt holds its checked text; its two parts are
-        # built from it on the first read of either.
-        text = self.__dict__.get("_text")
-        if text is None or name not in ("outer", "inner"):
+
+class _Part:
+    """One part of a composite, ``outer`` or ``inner``, read through the
+    class.  A composite built whole holds both parts itself, and those are
+    found first.  A root that parse_term left unbuilt holds its checked text
+    instead; its two parts are built from it on the first read of either.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, term: Optional[Comp], owner: Optional[type] = None):
+        if term is None:
+            return self
+        text = term.__dict__.get("_text")
+        if text is None:
             raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
+                f"'Comp' object has no attribute {self.name!r}")
         built = _build(text)
-        self.__dict__.update(outer=built.outer, inner=built.inner)
-        return self.__dict__[name]
+        term.__dict__.update(outer=built.outer, inner=built.inner)
+        return term.__dict__[self.name]
+
+
+# Set after the dataclass is made, so that they are not taken for defaults.
+Comp.outer = _Part("outer")
+Comp.inner = _Part("inner")
 
 
 ArrowTerm = Union[Id, Gen, App, Comp]

@@ -176,7 +176,8 @@ def test_parsed_chain_builds_one_tree_whichever_part_is_read_first():
     assert (inner_first.outer, outer_first.inner) == (eager.outer, eager.inner)
     assert inner_first.inner is inner and outer_first.outer is outer
     # A second build writes an equal tree over the first.
-    assert inner_first.__getattr__("outer") == eager.outer
+    assert Comp.outer.__get__(inner_first) == eager.outer
+    assert inner_first.inner is not inner and inner_first.inner == inner
     assert inner_first == eager and term_factors(inner_first) == \
         term_factors(eager)
 
@@ -188,6 +189,9 @@ def test_parsed_chain_rejects_unknown_attributes_unbuilt():
     assert not hasattr(term, "_nosuch") and _unbuilt(term)
     with pytest.raises(AttributeError, match="nosuch"):
         parse_reference.parse_term(_CHAIN).nosuch
+    # A composite that holds neither its parts nor a text has no parts.
+    with pytest.raises(AttributeError, match="outer"):
+        Comp.__new__(Comp).outer
 
 
 def test_engines_read_the_parsed_spine_without_building_the_tree():
