@@ -450,10 +450,11 @@ def _enum_spliteq(src: str, tgt: str) -> list[dg.SplitEq]:
         while stack:
             members, head, gaps = stack.pop()
             last = members[-1]
-            if head is None and marks[hi] == marks[last + 1]:
+            before = marks[last + 1]
+            if head is None and marks[hi] == before:
                 continue  # no marked member is left to join
             for nxt in range(last + 1, hi):
-                if nxt > last + 1 and marks[nxt] == marks[last + 1]:
+                if marks[nxt] == before and nxt > last + 1:
                     continue  # the gap before nxt has no partition
                 if extends(members, head, nxt) and (yield (last + 1, nxt)):
                     stack.append((members + (nxt,),

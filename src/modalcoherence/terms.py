@@ -254,16 +254,14 @@ class Comp:
     __repr__ = _term_repr
     __str__ = _term_str
 
-    # What a parsed root carries (see parse_term) is found on the instance;
-    # this default keeps term_factors to one lookup on other composites.
-    _spine = None
-
 
 class _Part:
     """One part of a composite, ``outer`` or ``inner``, read through the
     class.  A composite built whole holds both parts itself, and those are
     found first.  A root that parse_term left unbuilt holds its checked text
     instead; its two parts are built from it on the first read of either.
+    A ``Comp.__getattr__`` could do the same, but it makes every attribute
+    read of every composite several times slower.
     """
 
     def __init__(self, name: str):
