@@ -55,8 +55,14 @@ class RelDiagram:
         _check_labels(self.tgt_len, self.tgt_word, "target")
 
     def key(self) -> tuple:
-        """Structural identity ignoring the optional word labels."""
-        return (self.src_len, self.tgt_len, tuple(sorted(self.pairs)))
+        """Structural identity ignoring the optional word labels, sorted
+        once, on the first call."""
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.src_len, self.tgt_len, tuple(sorted(self.pairs)))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def same_as(self, other: "RelDiagram") -> bool:
         return self.key() == other.key()

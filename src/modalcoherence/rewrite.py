@@ -197,25 +197,32 @@ def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
 
 
 def _identity_insertions(m: _Matcher, factors: tuple[Factor, ...],
-                         words: list[str]) -> Iterator[_Match]:
+                         words: list[str], max_size: Optional[int] = None,
+                         ) -> Iterator[Optional[_Match]]:
     """Insertions of an expansion of the identity at a boundary of the
-    spine; ``words`` are its boundary words."""
+    spine; ``words`` are its boundary words.  An insertion whose spine
+    would be longer than ``max_size`` is not built: None stands for it."""
     pre, var = m.identity_word
+    build = max_size is None or len(factors) + len(m.to) <= max_size
     for i, word in enumerate(words):
-        for s in range(len(word) + 1):
-            rest = word[s:]
-            if not rest.startswith(pre):
-                continue
-            bindings = {var: rest[len(pre):]}
-            new_segment = _apply_prefix(build_side(m.to, bindings), word[:s])
-            yield (factors[:i] + tuple(new_segment) + factors[i:],
-                   i, s, len(new_segment), bindings)
+        s = word.find(pre)
+        while s >= 0:
+            if build:
+                bindings = {var: word[s + len(pre):]}
+                new_segment = _apply_prefix(build_side(m.to, bindings),
+                                            word[:s])
+                yield (factors[:i] + tuple(new_segment) + factors[i:],
+                       i, s, len(new_segment), bindings)
+            else:
+                yield None
+            s = word.find(pre, s + 1)
 
 
 def _matches(matchers: tuple[_Matcher, ...], src: str,
-             factors: tuple[Factor, ...],
-             ) -> Iterator[tuple[_Matcher, _Match]]:
-    """Every match of the matchers, in order, against one spine."""
+             factors: tuple[Factor, ...], max_size: Optional[int] = None,
+             ) -> Iterator[tuple[_Matcher, Optional[_Match]]]:
+    """Every match of the matchers, in order, against one spine; with
+    ``max_size``, an identity insertion past it comes as None, unbuilt."""
     code = _spine_code(factors)
     words = None
     for m in matchers:
@@ -226,7 +233,7 @@ def _matches(matchers: tuple[_Matcher, ...], src: str,
         else:
             if words is None:
                 words = _boundary_words(src, factors)
-            for match in _identity_insertions(m, factors, words):
+            for match in _identity_insertions(m, factors, words, max_size):
                 yield m, match
 
 
@@ -615,7 +622,10 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
         expanding, frontiers[tag] = frontiers[tag], []
         for state in expanding:
             base = sides[state][1]
-            for m, match in _matches(search, src, state):
+            for m, match in _matches(search, src, state, max_size):
+                if match is None:
+                    dropped += 1
+                    continue
                 new_factors = match[0]
                 known = sides.get(new_factors)
                 if known is None:

@@ -31,8 +31,9 @@ is not a letter, digit or underscore, so ``boxid{e}`` names nothing.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 BOX = "b"
 DIA = "d"
@@ -274,7 +275,7 @@ class _Part:
         if text is None:
             raise AttributeError(
                 f"'Comp' object has no attribute {self.name!r}")
-        built = _build(text)
+        built = _build(_leaves(text))
         term.__dict__.update(outer=built.outer, inner=built.inner)
         return term.__dict__[self.name]
 
@@ -293,17 +294,24 @@ ArrowTerm = Union[Id, Gen, App, Comp]
 
 # One match per leaf: the run of wrappers opened before it (``box(``,
 # ``dia(`` or a bare ``(``), its name and ``{index}``, the run of ``)`` after
-# it and an optional ``.``.  Every part is optional, so the pattern always
-# matches; _leaf_error reports a leaf that is missing or malformed.
-_LEAF = re.compile(r"""
-    ((?:\s*(?:(?:box|dia)\s*)?\()*)     # wrappers
-    \s*([^\W\d]\w*)?                    # name
-    (?:\s*\{([^}]*)\})?                 # index
-    ((?:\s*\))*)                        # closers
-    \s*(\.)?                            # separator
-""", re.VERBOSE)
+# it and an optional ``.``.  Every part is optional, so the pattern matches
+# at every position.  Nothing after a part can fail, so each part takes its
+# longest run and never gives any of it back: the possessive quantifiers
+# only spare the engine the backtracking points it would never use.
+# Python 3.10 has none, and its plain ones find the same matches.
+_LEAF_PATTERN = r"""
+    ((?:\s*+(?:(?:box|dia)\s*+)?\()*+)     # wrappers
+    \s*+([^\W\d]\w*+)?                     # name
+    (?:\s*+\{([^}]*+)\})?                  # index
+    ((?:\s*+\))*+)                         # closers
+    \s*+(\.)?                              # separator
+"""
+if sys.version_info < (3, 11):
+    _LEAF_PATTERN = _LEAF_PATTERN.replace("*+", "*")
+_LEAF = re.compile(_LEAF_PATTERN, re.VERBOSE)
 _NAME = re.compile(r"\w+")
 _LEAF_NAMES = frozenset(GENERATORS) | {"id"}
+_END = ("", "", "", "", "")  # the row findall gives for the empty match
 
 
 def _token(text: str, pos: int) -> tuple[str, str, int]:
@@ -341,44 +349,74 @@ def _leaf_error(text: str, match: re.Match) -> ParseError:
     return ParseError("expected '{modality}'", _token(text, at + len(value))[2])
 
 
-def _leaves(text: str):
-    """Check a text and read it leaf by leaf, in text order.
+def _leaves(text: str) -> list[tuple[str, str, str, int]]:
+    """Check a text and read its leaves, in text order.
 
-    Each match of _LEAF reads one leaf with its wrappers.  Yields, per leaf,
-    its wrappers outermost first (the operator letter for ``box(`` or
-    ``dia(``, "(" for a bare parenthesis), its name and index word, and the
-    number of ``)`` after it; raises the ParseError of the first fault, at
-    the leaf where it shows or after the last leaf.
+    One findall of _LEAF gives a row per leaf and one empty row at the end;
+    the rows follow each other, since each leaf row is a nonempty match.
+    Returns, per leaf, its wrappers outermost first (the operator letter
+    for ``box(`` or ``dia(``, "(" for a bare parenthesis), its name and
+    index word, and the number of ``)`` after it.  A text with a fault
+    raises the ParseError that :func:`_fault` finds.
     """
+    rows = _LEAF.findall(text)
+    end = rows.pop()
+    leaves = []
     depth = 1  # the chains open, the whole input included
+    for opens, name, index, closes, dot in rows:
+        if name not in _LEAF_NAMES or not index:
+            break
+        word = index.strip()
+        if word == "e":
+            word = ""
+        elif not word or word.strip(BOX + DIA):
+            break
+        wrappers = "".join(opens.split()).replace("box(", BOX).replace(
+            "dia(", DIA) if opens else ""
+        closing = closes.count(")")
+        depth += len(wrappers) - closing
+        if depth < 1:  # a ')' past the input
+            break
+        leaves.append((wrappers, name, word, closing))
+        if not dot:
+            if depth == 1 and end == _END and len(leaves) == len(rows):
+                return leaves
+            break
+    raise _fault(text)
+
+
+def _fault(text: str) -> ParseError:
+    """The error of a text that _leaves rejects: the first fault met when
+    the text is read again from the start, one _LEAF match per leaf, at
+    the leaf where it shows or after the last leaf.  Each match starts
+    where the one before it ended, so the rescan stays linear."""
+    depth = 1
     pos = 0
     while True:
         match = _LEAF.match(text, pos)
         opens, name, index, closes, dot = match.groups()
         if index is None or name not in _LEAF_NAMES:
-            raise _leaf_error(text, match)
+            return _leaf_error(text, match)
         word = index.strip()
-        if word == "e":
-            word = ""
-        elif not word or word.strip(BOX + DIA):
-            raise ParseError(f"bad modality {word!r} (use 'e' or letters b/d)",
-                             match.start(3) - 1)
-        wrappers = "".join(opens.split()).replace("box(", BOX).replace(
-            "dia(", DIA) if opens else ""
+        if word != "e" and (not word or word.strip(BOX + DIA)):
+            return ParseError(f"bad modality {word!r} (use 'e' or letters b/d)",
+                              match.start(3) - 1)
+        wrappers = opens.count("(")
         closing = closes.count(")")
-        if closing >= len(wrappers) + depth:  # a ')' past the input
-            skip = ")".join(closes.split(")")[:len(wrappers) + depth])
-            raise ParseError("trailing input ')'", match.start(4) + len(skip))
-        depth += len(wrappers) - closing
-        yield wrappers, name, word, closing
+        if closing >= wrappers + depth:  # a ')' past the input
+            skip = ")".join(closes.split(")")[:wrappers + depth])
+            return ParseError("trailing input ')'", match.start(4) + len(skip))
+        depth += wrappers - closing
         if dot is None:
             break
         pos = match.end()
     if depth > 1:
-        raise ParseError("expected ')'", _token(text, match.end())[2])
+        return ParseError("expected ')'", _token(text, match.end())[2])
     if match.end() < len(text):
         _, value, at = _token(text, match.end())
-        raise ParseError(f"trailing input {value!r}", at)
+        return ParseError(f"trailing input {value!r}", at)
+    raise AssertionError(f"the lexer rejected a text of {len(text)} "
+                         "characters that its rescan accepts")
 
 
 def _chain(atoms: list[ArrowTerm]) -> ArrowTerm:
@@ -388,15 +426,16 @@ def _chain(atoms: list[ArrowTerm]) -> ArrowTerm:
     return term
 
 
-def _build(text: str) -> ArrowTerm:
-    """The tree of a text.  The wrappers that a leaf's own match closes
-    apply to it at once; the chains still open are kept on an explicit
-    stack, so the nesting depth is not bounded by the recursion limit."""
+def _build(leaves: list[tuple[str, str, str, int]]) -> ArrowTerm:
+    """The tree of a text's leaves.  The wrappers that a leaf's own row
+    closes apply to it at once; the chains still open are kept on an
+    explicit stack, so the nesting depth is not bounded by the recursion
+    limit."""
     # (wrapper, atoms) per open chain: the wrapper is None for the whole
     # input, "(" inside parentheses and the operator letter inside
     # box(...) or dia(...).
     chains: list[tuple[Optional[str], list[ArrowTerm]]] = [(None, [])]
-    for wrappers, name, word, closing in _leaves(text):
+    for wrappers, name, word, closing in leaves:
         term = Id(word) if name == "id" else Gen(name, word)
         shut = min(closing, len(wrappers))
         for wrapper in reversed(wrappers[len(wrappers) - shut:]):
@@ -417,8 +456,9 @@ def _build(text: str) -> ArrowTerm:
 def parse_term(text: str) -> ArrowTerm:
     """Parse the concrete syntax; printing the result re-parses identically.
 
-    One scan checks the text and computes its spine, the triple
-    :func:`term_factors` returns, which the root carries.  A leaf's prefix
+    :func:`_leaves` checks the text, and one pass over its leaves computes
+    its spine, the triple :func:`term_factors` returns, which the root
+    carries.  A leaf's prefix
     is the operator letters still open around it, and the leaves apply in
     reverse text order, so each leaf must end where the leaf before it in
     the text starts.  A text with a composition mismatch carries no spine,
@@ -436,7 +476,8 @@ def parse_term(text: str) -> ArrowTerm:
     tgt = need = None  # the target, and the source of the leaf before
     typed = True
     items = 0  # at top level
-    for wrappers, name, word, closing in _leaves(text):
+    leaves = _leaves(text)
+    for wrappers, name, word, closing in leaves:
         # The outermost ``opened`` wrappers open chains; the others close
         # after the leaf, as do ``-opened`` chains already open.
         opened = len(wrappers) - closing
@@ -469,7 +510,7 @@ def parse_term(text: str) -> ArrowTerm:
         root = Comp.__new__(Comp)
         root.__dict__["_text"] = text
     else:
-        root = _build(text)
+        root = _build(leaves)
     if typed:
         factors.reverse()
         root.__dict__["_spine"] = (need, tgt, tuple(factors))
@@ -555,8 +596,7 @@ def dualize(term: ArrowTerm) -> ArrowTerm:
 # categorial and functorial equations.
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     prefix: str  # operator letters applied outside the generator
     kind: str
     index: str

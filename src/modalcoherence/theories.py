@@ -243,21 +243,27 @@ def raw_splus() -> Theory:
     )
 
 
+# Generator set -> its (kind, source prefix) pairs, sorted by kind.
+_SOURCES: dict[frozenset[str], tuple[tuple[str, str], ...]] = {}
+
+
 def applicable_factors(theory: "Theory | str", word: str) -> list[Factor]:
     """Single generator factors of the theory whose source is ``word``,
     ordered by generator kind then application depth."""
     theory = get_theory(theory)
+    sources = _SOURCES.get(theory.generators)
+    if sources is None:
+        sources = _SOURCES[theory.generators] = tuple(
+            (kind, GENERATORS[kind][0]) for kind in sorted(theory.generators))
+    constraint = theory.index_constraint
     out = []
-    for kind in sorted(theory.generators):
-        src_pre = GENERATORS[kind][0]
-        for depth in range(len(word) + 1):
-            rest = word[depth:]
-            if not rest.startswith(src_pre):
-                continue
-            index = rest[len(src_pre):]
-            if theory.index_constraint and not theory.index_constraint(index):
-                continue
-            out.append(Factor(word[:depth], kind, index))
+    for kind, src_pre in sources:
+        depth = word.find(src_pre)
+        while depth >= 0:
+            index = word[depth + len(src_pre):]
+            if not constraint or constraint(index):
+                out.append(Factor(word[:depth], kind, index))
+            depth = word.find(src_pre, depth + 1)
     return out
 
 

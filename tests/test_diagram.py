@@ -1,6 +1,7 @@
 """Diagram carriers: composition, converse, mirror, planarity, formats."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -174,6 +175,19 @@ def test_noncrossing_matches_pairwise_definition():
     # into sources and targets.
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     assert checked == sum((p + 1) * b for p, b in enumerate(bell))
+
+
+def test_rel_key_is_sorted_once():
+    d = dg.rel(3, 2, [(2, 1), (0, 0), (1, 0)], "bdb", "dd")
+    assert d.key() == (3, 2, ((0, 0), (1, 0), (2, 1)))
+    assert d.key() is d.key()
+    # The kept key changes neither equality nor hashing nor pickling.
+    fresh = dg.rel(3, 2, [(0, 0), (1, 0), (2, 1)], "bdb", "dd")
+    assert d == fresh and hash(d) == hash(fresh)
+    assert d.same_as(dg.rel(3, 2, d.pairs)) and d != dg.rel(3, 2, d.pairs)
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and back.key() == d.key()
+    assert dg.to_json(d) == dg.to_json(fresh)
 
 
 def test_json_round_trip():

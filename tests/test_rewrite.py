@@ -188,6 +188,29 @@ def test_prove_unknown_is_not_refuted():
         assert len(result.steps) == 4
 
 
+def test_capped_matches_leave_long_insertions_unbuilt():
+    # With a size cap, each identity insertion past it comes unbuilt, in
+    # its place; every other match is the one the uncapped scan gives.
+    lhs, _ = _CHI_PAIR
+    src, _, spine = term_factors(lhs)
+    search = rewrite._tables(REGISTRY["s4_box_chi"]).search
+    for state in (tuple(spine), tuple(spine) * 2):
+        for cap in (len(state), len(state) + 1, len(state) + 2):
+            uncapped = list(rewrite._matches(search, src, state))
+            capped = list(rewrite._matches(search, src, state, cap))
+            assert [m for m, _ in capped] == [m for m, _ in uncapped]
+            unbuilt = 0
+            for (m, match), (_, full) in zip(capped, uncapped):
+                if match is None:
+                    assert not m.frm and len(full[0]) > cap
+                    unbuilt += 1
+                else:
+                    assert match == full
+            assert unbuilt == sum(not m.frm and len(full[0]) > cap
+                                  for m, full in uncapped)
+            assert unbuilt > 0 or cap > len(state)
+
+
 def test_prove_reasons_of_unknown_results():
     lhs, rhs = _CHI_PAIR
     # No step budget: the frontiers still hold their roots.

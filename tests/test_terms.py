@@ -9,9 +9,11 @@ import pytest
 
 import parse_reference
 
+from modalcoherence import terms
 from modalcoherence.terms import (
     App,
     Comp,
+    Factor,
     Gen,
     Id,
     ParseError,
@@ -69,6 +71,52 @@ def test_parse_errors_carry_position():
             parse_term(text)
         assert str(caught.value) == f"{message} (at position {position})"
         assert caught.value.position == position
+
+
+# 3,000 leaves under three wrappers each, then one with a bad index.
+_FAULTY_CHAIN = " . ".join(["dia(dia(dia(delta_dd{d})))"] * 3000) + \
+    " . eps_dia{x}"
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("", "unexpected end of input", 0),
+    (" \t\n\u3000", "unexpected end of input", 4),
+    (_FAULTY_CHAIN, "bad modality 'x' (use 'e' or letters b/d)", 87007),
+], ids=["empty", "whitespace", "fault_in_last_of_3001_leaves"])
+def test_lexer_faults_report_the_first_position(text, message, position):
+    with pytest.raises(ParseError) as caught:
+        parse_term(text)
+    assert str(caught.value) == f"{message} (at position {position})"
+    assert caught.value.position == position
+
+
+def test_valid_text_is_lexed_without_the_rescan(monkeypatch):
+    # The positional rescan only explains a fault; a valid text, whatever
+    # its whitespace and parentheses, is read by the one findall.
+    def no_rescan(text):
+        raise AssertionError(f"rescanned a valid text: {text!r}")
+
+    monkeypatch.setattr(terms, "_fault", no_rescan)
+    rng = random.Random(11)
+    for _ in range(500):
+        clean, _ = _fuzz_texts(rng)
+        assert parse_term(clean) == parse_reference.parse_term(clean)
+    assert len(terms._leaves(_FAULTY_CHAIN[:-len(" . eps_dia{x}")])) == 3000
+
+
+def test_factor_is_a_value():
+    f = Factor("bd", "delta_bb", "d")
+    assert repr(f) == "Factor(prefix='bd', kind='delta_bb', index='d')"
+    same = Factor("b" + "d", "delta_bb", "d")
+    assert f == same and f is not same and hash(f) == hash(same)
+    assert f != Factor("bd", "delta_bb", "b")
+    assert f != Factor("b", "delta_bb", "d")
+    assert len({f, same, Factor("bd", "delta_bb", "")}) == 2
+    assert (f.src, f.tgt) == ("bdbd", "bdbbd")
+    assert f.to_term() == parse_term("box(dia(delta_bb{d}))")
+    for copy_of_f in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert copy_of_f == f and type(copy_of_f) is Factor
+        assert hash(copy_of_f) == hash(f)
 
 
 _FUZZ_SPACE = ["", " ", " ", "  ", "\t", "\n", "\u3000"]

@@ -1,6 +1,8 @@
 """Theory registry contents and factor enumeration."""
 
-from modalcoherence.terms import Factor
+from itertools import product
+
+from modalcoherence.terms import GENERATORS, Factor
 from modalcoherence.theories import (
     GEN,
     REGISTRY,
@@ -9,6 +11,7 @@ from modalcoherence.theories import (
     applicable_factors,
     enumerate_factor_terms,
     get_theory,
+    raw_splus,
 )
 
 EXPECTED = {
@@ -74,6 +77,32 @@ def test_applicable_factors():
     # The counit-diamond applies at every depth.
     assert len([f for f in applicable_factors("t_dia", "bd")
                 if f.kind == "eps_dia"]) == 3
+
+
+def _applicable_by_depth(theory, word):
+    # Every kind in order, every depth: the reference applicable_factors
+    # must agree with.
+    out = []
+    for kind in sorted(theory.generators):
+        src_pre = GENERATORS[kind][0]
+        for depth in range(len(word) + 1):
+            rest = word[depth:]
+            if not rest.startswith(src_pre):
+                continue
+            index = rest[len(src_pre):]
+            if theory.index_constraint and not theory.index_constraint(index):
+                continue
+            out.append(Factor(word[:depth], kind, index))
+    return out
+
+
+def test_applicable_factors_agrees_with_the_depth_loop():
+    words = ["".join(letters) for n in range(6)
+             for letters in product("bd", repeat=n)]
+    for theory in [*REGISTRY.values(), raw_splus()]:
+        for word in words:
+            assert applicable_factors(theory, word) == \
+                _applicable_by_depth(theory, word), (theory.id, word)
 
 
 def test_enumerate_factor_terms_counts():
