@@ -241,6 +241,15 @@ def fold_key(width: int, table: list[int], parent: Optional[list[int]],
     strands, renumbered in the order they are first seen.  It checks what
     the diagram's constructor would: every related source strand is in
     range, and ``tgt_word`` labels the target strands.
+
+    The paths that only ask whether two images are equal compare keys and
+    build no diagram: the soundness sweep (``interp.check_soundness``), the
+    proof search's refute check and guard (``interp.Frame.key``), and the
+    check of a synthesized or enumerated witness against its diagram
+    (``decide._witness``, except under a mirror or collapse frame).  The
+    paths that return diagrams build them with :func:`fold_finish`:
+    ``interp.interp``, ``interp.decide_equal``, ``decide.enum_hom`` and its
+    bounded search.
     """
     _check_labels(len(table), tgt_word, "target")
     if parent is None:

@@ -203,6 +203,19 @@ class Frame:
                         *self.labels(src, tgt))
         return dg.mirror(image) if self.mirror else image
 
+    def key(self, src: str, tgt: str, factors: Iterable[Factor]) -> tuple:
+        """The :func:`diagram.fold_key` of the factors, which run from
+        ``src`` to ``tgt``, with the range and label checks of
+        :meth:`image`; no diagram is built.  Two keys of this frame on one
+        source are equal exactly when the images' keys are.  The final
+        mirror image is left out, so such a key is not the key of a
+        diagram built another way."""
+        width = self.width(src)
+        table, parent = dg.fold_start(self.kind, width)
+        dg.fold_steps(table, parent, self.opening(src) + self.steps(factors)
+                      + self.closing(tgt))
+        return dg.fold_key(width, table, parent, self.labels(src, tgt)[1])
+
 
 # The frames that hold a clause table as it is, made once; a clause changed
 # in its table shows in them.

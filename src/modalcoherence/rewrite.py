@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .decide import SYNTHESIS_THEORIES, synthesize
-from .interp import STD, _image, fold
+from .interp import STD, _image, plain_frame
 from .schemas import SCHEMAS, GenPat, Side, build_side, match_side
 from .terms import (
     GENERATORS,
@@ -168,10 +168,19 @@ _MATCHERS: dict[tuple[str, str], _Matcher] = {
 _Match = tuple[tuple[Factor, ...], int, int, int, dict]
 
 
-def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
-                      code: str) -> Iterator[_Match]:
+def _built_length(side: Side, bindings: dict) -> int:
+    """The number of factors ``build_side`` gives for the side: one per
+    generator pattern and the bound arrow per arrow metavariable."""
+    return sum(1 if isinstance(pat, GenPat) else len(bindings["f"])
+               for pat in side)
+
+
+def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...], code: str,
+                      max_size: Optional[int] = None,
+                      ) -> Iterator[Optional[_Match]]:
     """The matches of an anchored matcher against a spine whose kind code
-    is ``code``, in increasing position order."""
+    is ``code``, in increasing position order.  A rewrite whose spine would
+    be longer than ``max_size`` is not built: None stands for it."""
     frm, j, needle, anchor = m.frm, m.offset, m.needle, m.prefix
     L = len(frm)
     # The needle starts at i + j and the segment must end by the spine's end.
@@ -191,9 +200,34 @@ def _segment_rewrites(m: _Matcher, factors: tuple[Factor, ...],
         bindings = match_side(frm, segment, outer=outer)
         if bindings is None:
             continue
+        if (max_size is not None and len(factors) - L
+                + _built_length(m.to, bindings) > max_size):
+            yield None
+            continue
         new_segment = _apply_prefix(build_side(m.to, bindings), outer)
         yield (factors[:i] + tuple(new_segment) + factors[i + L:],
                i, s, len(new_segment), bindings)
+
+
+def _pair_rewrite(m: _Matcher, pair: tuple[Factor, ...]) -> Optional[_Match]:
+    """The match of a naturality matcher against an adjacent pair whose
+    kinds fit it (``_Tables.naturalities``), as :func:`_segment_rewrites`
+    finds it.  A naturality from-side is one generator and one arrow, whose
+    needle is the generator's one kind code, so position 0 is the only
+    place it can match."""
+    f = pair[m.offset]
+    if not f.prefix.endswith(m.prefix):
+        return None
+    s = len(f.prefix) - len(m.prefix)
+    outer = f.prefix[:s]
+    if s and not (pair[0].prefix.startswith(outer)
+                  and pair[1].prefix.startswith(outer)):
+        return None
+    bindings = match_side(m.frm, pair, outer=outer)
+    if bindings is None:
+        return None
+    new_pair = tuple(_apply_prefix(build_side(m.to, bindings), outer))
+    return new_pair, 0, s, len(new_pair), bindings
 
 
 def _identity_insertions(m: _Matcher, factors: tuple[Factor, ...],
@@ -222,13 +256,13 @@ def _matches(matchers: tuple[_Matcher, ...], src: str,
              factors: tuple[Factor, ...], max_size: Optional[int] = None,
              ) -> Iterator[tuple[_Matcher, Optional[_Match]]]:
     """Every match of the matchers, in order, against one spine; with
-    ``max_size``, an identity insertion past it comes as None, unbuilt."""
+    ``max_size``, a match past it comes as None, unbuilt."""
     code = _spine_code(factors)
     words = None
     for m in matchers:
         if m.frm:
             if m.needle in code:
-                for match in _segment_rewrites(m, factors, code):
+                for match in _segment_rewrites(m, factors, code, max_size):
                     yield m, match
         else:
             if words is None:
@@ -398,26 +432,22 @@ def directed_normalize(theory: "Theory | str", src: str,
                 pair = current[i:i + 2]
                 wanted = None
                 for m in naturalities.get((inner.kind, outer.kind), ()):
-                    for new_pair, position, strip, inserted, _ in \
-                            _segment_rewrites(m, pair, code[i:i + 2]):
-                        ni, no = new_pair
-                        nsi, nso = stage.get(ni.kind, 0), stage.get(no.kind, 0)
-                        if nsi > nso:
-                            continue
-                        if nsi == nso and not (_sort_key(ni) > _sort_key(no)):
-                            continue
-                        wanted = (new_pair, m, position, strip, inserted)
-                        break
-                    if wanted:
+                    match = _pair_rewrite(m, pair)
+                    if match is None:
+                        continue
+                    ni, no = match[0]
+                    nsi, nso = stage.get(ni.kind, 0), stage.get(no.kind, 0)
+                    if nsi < nso or (nsi == nso
+                                     and _sort_key(ni) > _sort_key(no)):
+                        wanted = m, match
                         break
                 if wanted:
-                    new_pair, m, position, strip, inserted = wanted
+                    m, (new_pair, _, strip, inserted, _) = wanted
                     candidate = current[:i] + new_pair + current[i + 2:]
                     if candidate not in seen:
                         current = candidate
-                        steps.append(Step(m.schema_id, m.direction,
-                                          i + position, strip, len(m.frm),
-                                          inserted))
+                        steps.append(Step(m.schema_id, m.direction, i, strip,
+                                          len(m.frm), inserted))
                         seen.add(current)
                         changed = True
                         break
@@ -536,8 +566,11 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
     sf, sg = tuple(sf), tuple(sg)
     if sf == sg:
         return ProofResult("proved")
-    image = fold(theory.target, STD, src, list(sf))
-    if not image.same_as(fold(theory.target, STD, src, list(sg))):
+    # Images are compared by their strand-table keys (Frame.key); no
+    # diagram is built.
+    frame = plain_frame(theory.target, STD)
+    image = frame.key(src, ftgt, sf)
+    if image != frame.key(src, ftgt, sg):
         return ProofResult("refuted")
 
     # Every state the search reaches is checked as typed_factors and interp
@@ -556,8 +589,7 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
             raise SoundnessViolation(
                 f"rewriting produced an ill-typed term at {candidate}: {exc}",
                 candidate) from exc
-        if tgt != ftgt or not fold(theory.target, STD, src,
-                                   list(candidate)).same_as(image):
+        if tgt != ftgt or frame.key(src, tgt, candidate) != image:
             raise SoundnessViolation(
                 f"rewriting broke the interpretation at {candidate}",
                 candidate)
@@ -629,9 +661,6 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
                 new_factors = match[0]
                 known = sides.get(new_factors)
                 if known is None:
-                    if len(new_factors) > max_size:
-                        dropped += 1
-                        continue
                     guard(new_factors)
                 elif known[0] == tag:
                     continue

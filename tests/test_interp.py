@@ -17,9 +17,11 @@ from modalcoherence.interp import (
     TYPE_MISMATCH,
     VariantError,
     admitted_variants,
+    STD,
     check_soundness,
     decide_equal,
     interp,
+    side_frame,
 )
 from modalcoherence.schemas import SCHEMAS
 from modalcoherence.terms import (
@@ -118,6 +120,29 @@ def test_interp_functorial_on_random_terms():
             whole = interp(tid, Comp(g, f))
             parts = dg.compose(interp(tid, g), interp(tid, f))
             assert whole.same_as(parts)
+
+
+def test_frame_key_agrees_with_diagram_equality():
+    # Random terms grouped by type: two keys of one frame are equal exactly
+    # when the two images are the same diagram.
+    rng = random.Random(33)
+    for tid in ("s4_boxdia_chi", "s5"):
+        frame = side_frame(REGISTRY[tid], STD)
+        by_type: dict = {}
+        for _ in range(300):
+            src = rng.choice(["", "b", "d", "bd", "db"])
+            term = random_term(tid, src, rng.randint(0, 4), rng)
+            src, tgt, factors = term_factors(term)
+            by_type.setdefault((src, tgt), []).append(
+                (frame.key(src, tgt, factors), interp(tid, term)))
+        verdicts = set()
+        for group in by_type.values():
+            for k, (key, image) in enumerate(group):
+                for other_key, other_image in group[k + 1:]:
+                    same = image.same_as(other_image)
+                    assert (key == other_key) == same
+                    verdicts.add(same)
+        assert verdicts == {True, False}, tid
 
 
 def test_dual_functor_clauses():

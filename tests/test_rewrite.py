@@ -189,11 +189,13 @@ def test_prove_unknown_is_not_refuted():
 
 
 def test_capped_matches_leave_long_insertions_unbuilt():
-    # With a size cap, each identity insertion past it comes unbuilt, in
-    # its place; every other match is the one the uncapped scan gives.
+    # With a size cap, each identity insertion and each segment rewrite
+    # past it comes unbuilt, in its place; every other match is the one the
+    # uncapped scan gives.
     lhs, _ = _CHI_PAIR
     src, _, spine = term_factors(lhs)
     search = rewrite._tables(REGISTRY["s4_box_chi"]).search
+    segments = 0
     for state in (tuple(spine), tuple(spine) * 2):
         for cap in (len(state), len(state) + 1, len(state) + 2):
             uncapped = list(rewrite._matches(search, src, state))
@@ -202,13 +204,14 @@ def test_capped_matches_leave_long_insertions_unbuilt():
             unbuilt = 0
             for (m, match), (_, full) in zip(capped, uncapped):
                 if match is None:
-                    assert not m.frm and len(full[0]) > cap
+                    assert len(full[0]) > cap
                     unbuilt += 1
+                    segments += bool(m.frm)
                 else:
                     assert match == full
-            assert unbuilt == sum(not m.frm and len(full[0]) > cap
-                                  for m, full in uncapped)
+            assert unbuilt == sum(len(full[0]) > cap for _, full in uncapped)
             assert unbuilt > 0 or cap > len(state)
+    assert segments > 0
 
 
 def test_prove_reasons_of_unknown_results():
@@ -315,6 +318,27 @@ def test_kind_code_scan_finds_every_segment_rewrite():
                      for new, s in rewrites(theory, src, factors)
                      if s.replaced]
             assert found == list(_unanchored_rewrites(theory, factors))
+
+
+def test_pair_match_agrees_with_the_segment_scan():
+    # The naturality sort matches an adjacent pair straight, at position 0;
+    # the kind-code scan over the pair gives the same match list.
+    for tid in ("s5", "s42", "s4_boxdia"):
+        theory = REGISTRY[tid]
+        naturalities = rewrite._tables(theory).naturalities
+        found = 0
+        for src in ("", "b", "d", "bb", "bd", "db", "dd"):
+            for factors in enumerate_factor_terms(theory, src, 3):
+                for i in range(len(factors) - 1):
+                    pair = tuple(factors[i:i + 2])
+                    code = rewrite._spine_code(pair)
+                    for m in naturalities.get((pair[0].kind, pair[1].kind),
+                                              ()):
+                        match = rewrite._pair_rewrite(m, pair)
+                        scanned = list(rewrite._segment_rewrites(m, pair, code))
+                        assert scanned == ([] if match is None else [match])
+                        found += match is not None
+        assert found > 0, tid
 
 
 def test_derivation_steps_are_sound():
