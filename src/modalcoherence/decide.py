@@ -312,21 +312,16 @@ def _witness(theory: Theory, d: dg.Diagram, factors: list[Factor]) -> ArrowTerm:
     with an image that must equal ``d``; then build its tree.
 
     The image is compared by its strand-table key (:meth:`Frame.key`)
-    against the key of ``d`` folded as one step; a mirror or collapse frame
-    builds the image and compares diagrams."""
+    against the key of ``d`` folded as one step; no diagram is built."""
     src = d.src_word
     factor_tgt = chain_target(src, factors)
     check_admitted(theory, factors)
     frame = side_frame(theory, STD)
-    if frame.mirror or frame.collapse:
-        same = _image(theory, STD, src, factor_tgt, factors).same_as(d)
-    else:
-        links = d.pairs if isinstance(d, dg.RelDiagram) else d.classes
-        table, parent = dg.fold_start(frame.kind, d.src_len)
-        dg.fold_steps(table, parent, [(0, d.src_len, d.tgt_len, links, 0)])
-        same = (frame.key(src, factor_tgt, factors)
-                == dg.fold_key(d.src_len, table, parent))
-    if not same:
+    links = d.pairs if isinstance(d, dg.RelDiagram) else d.classes
+    table, parent = dg.fold_start(frame.kind, d.src_len)
+    dg.fold_steps(table, parent, [(0, d.src_len, d.tgt_len, links, 0)])
+    if (frame.key(src, factor_tgt, factors)
+            != dg.fold_key(d.src_len, table, parent)):
         raise SynthesisError("synthesis produced a term with a different image")
     build = _PARTNERS[theory.id][4] if theory.id in _PARTNERS else factors_to_term
     return build(src, factors)

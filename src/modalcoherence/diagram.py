@@ -246,10 +246,9 @@ def fold_key(width: int, table: list[int], parent: Optional[list[int]],
     build no diagram: the soundness sweep (``interp.check_soundness``), the
     proof search's refute check and guard (``interp.Frame.key``), and the
     check of a synthesized or enumerated witness against its diagram
-    (``decide._witness``, except under a mirror or collapse frame).  The
-    paths that return diagrams build them with :func:`fold_finish`:
-    ``interp.interp``, ``interp.decide_equal``, ``decide.enum_hom`` and its
-    bounded search.
+    (``decide._witness``).  The paths that return diagrams build them with
+    :func:`fold_finish`: ``interp.interp``, ``interp.decide_equal``,
+    ``decide.enum_hom`` and its bounded search.
     """
     _check_labels(len(table), tgt_word, "target")
     if parent is None:

@@ -655,7 +655,9 @@ def prove_equal_bounded(theory: "Theory | str", f: ArrowTerm, g: ArrowTerm,
         for state in expanding:
             base = sides[state][1]
             for m, match in _matches(search, src, state, max_size):
-                if match is None:
+                # None is a rewrite the cap skipped unbuilt; the built spine's
+                # length is checked as well.
+                if match is None or len(match[0]) > max_size:
                     dropped += 1
                     continue
                 new_factors = match[0]

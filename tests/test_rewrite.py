@@ -214,6 +214,17 @@ def test_capped_matches_leave_long_insertions_unbuilt():
     assert segments > 0
 
 
+def test_cap_holds_without_the_length_prediction(monkeypatch):
+    # The search drops a built state past the cap even when the prediction
+    # that skips building it says otherwise.
+    lhs, rhs = _CHI_PAIR
+    monkeypatch.setattr(rewrite, "_built_length", lambda side, bindings: 0)
+    result = prove_equal_bounded("s4_box_chi", lhs, rhs)
+    assert result.reason == "size_cap"
+    result = prove_equal_bounded("s4_box_chi", lhs, rhs, size_slack=3)
+    assert result.proved and len(result.steps) == 4
+
+
 def test_prove_reasons_of_unknown_results():
     lhs, rhs = _CHI_PAIR
     # No step budget: the frontiers still hold their roots.
