@@ -19,7 +19,7 @@ from random import Random
 from typing import Optional
 
 from . import diagram as dg
-from .interp import STD, _image, fold, plain_frame, side_frame
+from .interp import STD, _image, plain_frame, side_frame
 from .terms import (
     ArrowTerm,
     App,
@@ -348,14 +348,6 @@ def synthesize(theory: "Theory | str", d: dg.Diagram) -> ArrowTerm:
 # Realizability
 
 
-# Theories whose realizability test is a proven exact characterization of
-# the functor's image.
-_EXACT_REALIZABLE = frozenset({
-    "t_box", "t_dia", "k4_box", "k4_dia", "s4_box", "s4_dia",
-    "s_chi", "s4_dia_chi", "s5", "fives",
-})
-
-
 def realizable(theory: "Theory | str", d: dg.Diagram,
                budget: int = 6) -> bool:
     """Is ``d`` the image of some deduction of the theory?
@@ -496,6 +488,28 @@ def _enum_spliteq(src: str, tgt: str) -> list[dg.SplitEq]:
             for part in memo[whole]]
 
 
+# The relational theories whose arrows are exactly the candidates their
+# staged route accepts, with the graphs of the candidates from m sources to
+# n targets.  A diamond theory's arrows are maps from sources to targets,
+# and s_chi's are the converses of injections of targets into sources.
+_CANDIDATES = {
+    "s4_dia": lambda m, n: map(
+        enumerate, itertools.combinations_with_replacement(range(n), m)),
+    "t_dia": lambda m, n: map(enumerate, itertools.combinations(range(n), m)),
+    "k4_dia": lambda m, n: map(enumerate, (
+        v for v in itertools.combinations_with_replacement(range(n), m)
+        if len(set(v)) == n)),
+    "s4_dia_chi": lambda m, n: map(
+        enumerate, itertools.product(range(n), repeat=m)),
+    "s_chi": lambda m, n: (zip(chosen, range(n))
+                           for chosen in itertools.permutations(range(m), n)),
+}
+
+# Theories whose realizability test is a proven exact characterization of
+# the functor's image: those :func:`_exact_arrows` answers.
+_EXACT_REALIZABLE = frozenset({"s5", *_CANDIDATES, *_PARTNERS})
+
+
 def _exact_arrows(theory: Theory, src: str, tgt: str
                   ) -> Optional[list[tuple[dg.Diagram, list[Factor]]]]:
     """The arrows of a theory whose image has an exact characterization,
@@ -509,26 +523,11 @@ def _exact_arrows(theory: Theory, src: str, tgt: str
         return [(diagram(d), factors(found)) for d, found in inner]
     if theory.id == "s5":
         return [(d, _synth_s5(d)) for d in _enum_spliteq(src, tgt)]
-    m, n = len(src), len(tgt)
-    # A diamond theory's arrows are maps from sources to targets, and
-    # s_chi's are the converses of injections of targets into sources.
-    if theory.id == "s4_dia":
-        graphs = map(enumerate, itertools.combinations_with_replacement(range(n), m))
-    elif theory.id == "t_dia":
-        graphs = map(enumerate, itertools.combinations(range(n), m))
-    elif theory.id == "k4_dia":
-        graphs = map(enumerate, (
-            v for v in itertools.combinations_with_replacement(range(n), m)
-            if len(set(v)) == n))
-    elif theory.id == "s4_dia_chi":
-        graphs = map(enumerate, itertools.product(range(n), repeat=m))
-    elif theory.id == "s_chi":
-        graphs = (zip(chosen, range(n))
-                  for chosen in itertools.permutations(range(m), n))
-    else:
+    if theory.id not in _CANDIDATES:
         return None
+    m, n = len(src), len(tgt)
     out = []
-    for pairs in graphs:
+    for pairs in _CANDIDATES[theory.id](m, n):
         cand = dg.rel(m, n, pairs, src, tgt)
         try:
             out.append((cand, _synth_staged(theory, cand)))
@@ -572,8 +571,9 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
     parent's table.  With the source fixed, the table determines the
     relation, so every (word, relation) state is visited once, and the first
     path to reach a relation on the target word is its witness.  Diagrams
-    are built only for those arrows, in the order of their keys under the
-    base functor; the sharp quotients then identify arrows of equal image.
+    are built only for those arrows, from their tables, in the order of
+    their keys under the base functor; the sharp quotients then identify
+    arrows of equal image.
     """
     base = theory.base
     if base.target != REL:
@@ -612,13 +612,14 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
                     found[new_table] = new_path
         frontier = grown
     arrows = []
-    for path in found.values():
+    for table, path in found.items():
         factors: list[Factor] = []
         while path is not None:
             factor, path = path
             factors.append(factor)
         factors.reverse()
-        arrows.append((fold(REL, STD, q.src, factors), factors))
+        arrows.append((dg.fold_finish(len(q.src), table, None, q.src, q.tgt),
+                       factors))
     arrows.sort(key=lambda arrow: arrow[0].key())
     for diag, factors in arrows:
         if theory.quotient is not None:

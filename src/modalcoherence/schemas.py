@@ -13,6 +13,16 @@ directed-rewriting engines) and *instantiate* (producing concrete equation
 instances for the soundness sweep).  Both build a side from its bindings
 with :func:`build_side`, which gives a factor list; an instance is a
 (source word, factors) pair per side, never a term.
+
+Of the pattern schemas, 39 are derived, not written out.  Each entry of
+``_DUALS`` is the dual (:func:`_dual`) of a hand-written schema: its sides
+reversed, its words letter-swapped, its kinds mapped by
+:data:`terms.DUAL_KIND`, and in a naturality schema ``A`` and ``B``
+exchanged.  Each entry of ``_MIRRORS``, a fives schema, is the mirror
+(:func:`_mirror`) of an s5 schema, hand-written or a dual: each pattern's
+prefix and index prefix exchange places, each reversed, and its kind is
+mapped by :data:`terms.MIRROR_KIND`.  A schema whose image has its sides
+exchanged is written out.
 """
 
 from __future__ import annotations
@@ -20,7 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .terms import GENERATORS, Factor, TermError, chain_target, mirror_factor
+from .terms import (
+    DUAL_KIND,
+    GENERATORS,
+    MIRROR_KIND,
+    Factor,
+    TermError,
+    chain_target,
+    mirror_factor,
+    swap_word,
+)
 
 
 @dataclass(frozen=True)
@@ -66,8 +85,7 @@ def G(prefix: str, kind: str, index_pre: str, index_var: str = "A") -> GenPat:
     return GenPat(prefix, kind, index_pre, index_var)
 
 
-def F(prefix: str) -> FVarPat:
-    return FVarPat(prefix)
+F = FVarPat
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +108,8 @@ def match_side(side: Side, segment: Sequence[Factor],
     bound: dict = dict(bindings) if bindings else {}
     for pat, factor in zip(side, segment):
         if isinstance(pat, GenPat):
-            if factor.kind != pat.kind or factor.prefix != outer + pat.prefix:
-                return None
-            if not factor.index.startswith(pat.index_pre):
+            if (factor.kind != pat.kind or factor.prefix != outer + pat.prefix
+                    or not factor.index.startswith(pat.index_pre)):
                 return None
             word = factor.index[len(pat.index_pre):]
             if bound.setdefault(pat.index_var, word) != word:
@@ -104,11 +121,9 @@ def match_side(side: Side, segment: Sequence[Factor],
             inner = Factor(factor.prefix[len(head):], factor.kind,
                            factor.index)
             f = (inner,)
-            if bound.setdefault("f", f) != f:
-                return None
-            if bound.setdefault("A", inner.src) != inner.src:
-                return None
-            if bound.setdefault("B", inner.tgt) != inner.tgt:
+            if (bound.setdefault("f", f) != f
+                    or bound.setdefault("A", inner.src) != inner.src
+                    or bound.setdefault("B", inner.tgt) != inner.tgt):
                 return None
     return bound
 
@@ -150,11 +165,9 @@ def open_sides(schema: EquationSchema, word: str,
     bindings = {"A": word}
     opened = []
     for side in (schema.lhs, schema.rhs):
-        cut, prefix = len(side), None
-        for k, pat in enumerate(side):
-            if isinstance(pat, FVarPat):
-                cut, prefix = k, pat.prefix
-                break
+        cut = next((k for k, pat in enumerate(side)
+                    if isinstance(pat, FVarPat)), len(side))
+        prefix = side[cut].prefix if cut < len(side) else None
         before = build_side(side[:cut], bindings)
         if before:
             src = before[0].src
@@ -182,13 +195,11 @@ def instantiate(schema: EquationSchema, word: str,
         if inner is None:
             raise TermError(f"schema {schema.id} needs an inner arrow")
         word, factors = inner
-    after_bindings = {"B": chain_target(word, factors)}
+    bindings = {"f": factors, "B": chain_target(word, factors)}
     sides = []
     for src, built, prefix, after in open_sides(schema, word):
         if prefix is not None:
-            built += [Factor(prefix + g.prefix, g.kind, g.index)
-                      for g in factors]
-            built += build_side(after, after_bindings)
+            built += build_side((F(prefix), *after), bindings)
         sides.append((src, built))
     return tuple(sides)
 
@@ -202,6 +213,55 @@ def _schema(id: str, lhs: list[Pat], rhs: list[Pat],
     return EquationSchema(id, tuple(lhs), tuple(rhs), identity_word)
 
 
+def _dual(schema: EquationSchema, id: str) -> EquationSchema:
+    """The dual of a schema, as :func:`terms.dual_factors` of its sides."""
+    var = {"A": "B", "B": "A"} if schema.naturality else {"A": "A"}
+    lhs, rhs = ([F(swap_word(p.prefix)) if isinstance(p, FVarPat)
+                 else G(swap_word(p.prefix), DUAL_KIND[p.kind],
+                        swap_word(p.index_pre), var[p.index_var])
+                 for p in reversed(side)] for side in (schema.lhs, schema.rhs))
+    word = schema.identity_word
+    return _schema(id, lhs, rhs, word and (swap_word(word[0]), word[1]))
+
+
+def _mirror(schema: EquationSchema, id: str) -> EquationSchema:
+    """The mirror of a schema, as :func:`terms.mirror_factor` of its sides
+    at index e; the metavariables stay at the end of each index."""
+    lhs, rhs = ([F(p.prefix[::-1]) if isinstance(p, FVarPat)
+                 else G(p.index_pre[::-1], MIRROR_KIND[p.kind],
+                        p.prefix[::-1], p.index_var)
+                 for p in side] for side in (schema.lhs, schema.rhs))
+    word = schema.identity_word
+    return _schema(id, lhs, rhs, word and (word[0][::-1], word[1]))
+
+
+# The derived schemas, as (id, source id); the duals are built first.
+_DUALS = (
+    ("nat_eps_dia", "nat_eps_box"), ("nat_delta_dd", "nat_delta_bb"),
+    ("nat_delta_db", "nat_delta_bd"), ("slide_eps_dia", "slide_eps_box"),
+    ("assoc_delta_dd", "assoc_delta_bb"), ("assoc_delta_db", "assoc_delta_bd"),
+    ("beta_dd", "beta_bb"), ("beta_db", "beta_bd"), ("eta_dd", "eta_bb"),
+    ("zigzag_i_d", "zigzag_n_b"), ("zigzag_i_b", "zigzag_n_d"),
+    ("invol_chi_dd", "invol_chi_bb"), ("yb_chi_dd", "yb_chi_bb"),
+    ("eps_chi_dd", "eps_chi_bb"), ("delta_chi_dd", "delta_chi_bb"),
+    ("chi_delta_dd", "chi_delta_bb"), ("chi_inv_bd", "chi_inv_db"),
+    ("eps_dia_chi_db", "eps_box_chi_db"), ("eps_dia_chi_bd", "eps_box_chi_bd"),
+    ("delta_dd_chi_db", "delta_bb_chi_db"),
+    ("delta_dd_chi_bd", "delta_bb_chi_bd"),
+)
+_MIRRORS = (
+    ("nat_sigma_bb", "nat_delta_bb"), ("nat_sigma_db", "nat_delta_bd"),
+    ("nat_sigma_bd", "nat_delta_db"), ("nat_sigma_dd", "nat_delta_dd"),
+    ("assoc_sigma_bb", "assoc_delta_bb"), ("assoc_sigma_db", "assoc_delta_bd"),
+    ("assoc_sigma_bd", "assoc_delta_db"), ("assoc_sigma_dd", "assoc_delta_dd"),
+    ("beta_sigma_bb", "eta_bb"), ("beta_sigma_dd", "eta_dd"),
+    ("eta_sigma_bb", "beta_bb"), ("eta_sigma_db", "beta_bd"),
+    ("eta_sigma_bd", "beta_db"), ("eta_sigma_dd", "beta_dd"),
+    ("zigzag_n_b_s", "zigzag_i_b"), ("zigzag_n_d_s", "zigzag_i_d"),
+    ("zigzag_i_b_s", "zigzag_n_b"), ("zigzag_i_d_s", "zigzag_n_d"),
+)
+
+
 def _build_registry() -> dict[str, EquationSchema]:
     s: list[EquationSchema] = []
 
@@ -209,21 +269,12 @@ def _build_registry() -> dict[str, EquationSchema]:
     s.append(_schema("nat_eps_box",
                      [F("b"), G("", "eps_box", "", "B")],
                      [G("", "eps_box", "", "A"), F("")]))
-    s.append(_schema("nat_eps_dia",
-                     [G("", "eps_dia", "", "A"), F("d")],
-                     [F(""), G("", "eps_dia", "", "B")]))
     s.append(_schema("nat_delta_bb",
                      [G("", "delta_bb", "", "A"), F("bb")],
                      [F("b"), G("", "delta_bb", "", "B")]))
     s.append(_schema("nat_delta_bd",
                      [G("", "delta_bd", "", "A"), F("bd")],
                      [F("d"), G("", "delta_bd", "", "B")]))
-    s.append(_schema("nat_delta_dd",
-                     [F("dd"), G("", "delta_dd", "", "B")],
-                     [G("", "delta_dd", "", "A"), F("d")]))
-    s.append(_schema("nat_delta_db",
-                     [F("db"), G("", "delta_db", "", "B")],
-                     [G("", "delta_db", "", "A"), F("b")]))
     s.append(_schema("nat_chi_bb",
                      [G("", "chi_bb", "", "A"), F("bb")],
                      [F("bb"), G("", "chi_bb", "", "B")]))
@@ -236,26 +287,11 @@ def _build_registry() -> dict[str, EquationSchema]:
     s.append(_schema("nat_chi_bd",
                      [G("", "chi_bd", "", "A"), F("db")],
                      [F("bd"), G("", "chi_bd", "", "B")]))
-    s.append(_schema("nat_sigma_bb",
-                     [G("", "sigma_bb", "", "A"), F("bb")],
-                     [F("b"), G("", "sigma_bb", "", "B")]))
-    s.append(_schema("nat_sigma_db",
-                     [G("", "sigma_db", "", "A"), F("db")],
-                     [F("d"), G("", "sigma_db", "", "B")]))
-    s.append(_schema("nat_sigma_bd",
-                     [F("bd"), G("", "sigma_bd", "", "B")],
-                     [G("", "sigma_bd", "", "A"), F("b")]))
-    s.append(_schema("nat_sigma_dd",
-                     [F("dd"), G("", "sigma_dd", "", "B")],
-                     [G("", "sigma_dd", "", "A"), F("d")]))
 
     # Counit slide (the one-generator base form of naturality).
     s.append(_schema("slide_eps_box",
                      [G("b", "eps_box", "", "A"), G("", "eps_box", "", "A")],
                      [G("", "eps_box", "b", "A"), G("", "eps_box", "", "A")]))
-    s.append(_schema("slide_eps_dia",
-                     [G("", "eps_dia", "", "A"), G("d", "eps_dia", "", "A")],
-                     [G("", "eps_dia", "", "A"), G("", "eps_dia", "d", "A")]))
 
     # Comultiplication associativity (and its mixed forms).
     s.append(_schema("assoc_delta_bb",
@@ -264,24 +300,6 @@ def _build_registry() -> dict[str, EquationSchema]:
     s.append(_schema("assoc_delta_bd",
                      [G("", "delta_bd", "", "A"), G("b", "delta_bd", "", "A")],
                      [G("", "delta_bd", "", "A"), G("", "delta_bb", "d", "A")]))
-    s.append(_schema("assoc_delta_dd",
-                     [G("d", "delta_dd", "", "A"), G("", "delta_dd", "", "A")],
-                     [G("", "delta_dd", "d", "A"), G("", "delta_dd", "", "A")]))
-    s.append(_schema("assoc_delta_db",
-                     [G("d", "delta_db", "", "A"), G("", "delta_db", "", "A")],
-                     [G("", "delta_dd", "b", "A"), G("", "delta_db", "", "A")]))
-    s.append(_schema("assoc_sigma_bb",
-                     [G("", "sigma_bb", "", "A"), G("", "sigma_bb", "b", "A")],
-                     [G("", "sigma_bb", "", "A"), G("b", "sigma_bb", "", "A")]))
-    s.append(_schema("assoc_sigma_db",
-                     [G("", "sigma_db", "", "A"), G("", "sigma_db", "b", "A")],
-                     [G("", "sigma_db", "", "A"), G("d", "sigma_bb", "", "A")]))
-    s.append(_schema("assoc_sigma_dd",
-                     [G("", "sigma_dd", "d", "A"), G("", "sigma_dd", "", "A")],
-                     [G("d", "sigma_dd", "", "A"), G("", "sigma_dd", "", "A")]))
-    s.append(_schema("assoc_sigma_bd",
-                     [G("", "sigma_bd", "d", "A"), G("", "sigma_bd", "", "A")],
-                     [G("b", "sigma_dd", "", "A"), G("", "sigma_bd", "", "A")]))
 
     # Triangle laws.
     s.append(_schema("beta_bb",
@@ -290,36 +308,9 @@ def _build_registry() -> dict[str, EquationSchema]:
     s.append(_schema("beta_bd",
                      [G("", "delta_bd", "", "A"), G("", "eps_box", "d", "A")],
                      [], identity_word=("d", "A")))
-    s.append(_schema("beta_dd",
-                     [G("", "eps_dia", "d", "A"), G("", "delta_dd", "", "A")],
-                     [], identity_word=("d", "A")))
-    s.append(_schema("beta_db",
-                     [G("", "eps_dia", "b", "A"), G("", "delta_db", "", "A")],
-                     [], identity_word=("b", "A")))
     s.append(_schema("eta_bb",
                      [G("", "delta_bb", "", "A"), G("b", "eps_box", "", "A")],
                      [], identity_word=("b", "A")))
-    s.append(_schema("eta_dd",
-                     [G("d", "eps_dia", "", "A"), G("", "delta_dd", "", "A")],
-                     [], identity_word=("d", "A")))
-    s.append(_schema("beta_sigma_bb",
-                     [G("", "sigma_bb", "", "A"), G("", "eps_box", "b", "A")],
-                     [], identity_word=("b", "A")))
-    s.append(_schema("beta_sigma_dd",
-                     [G("", "eps_dia", "d", "A"), G("", "sigma_dd", "", "A")],
-                     [], identity_word=("d", "A")))
-    s.append(_schema("eta_sigma_bb",
-                     [G("", "sigma_bb", "", "A"), G("b", "eps_box", "", "A")],
-                     [], identity_word=("b", "A")))
-    s.append(_schema("eta_sigma_db",
-                     [G("", "sigma_db", "", "A"), G("d", "eps_box", "", "A")],
-                     [], identity_word=("d", "A")))
-    s.append(_schema("eta_sigma_bd",
-                     [G("b", "eps_dia", "", "A"), G("", "sigma_bd", "", "A")],
-                     [], identity_word=("b", "A")))
-    s.append(_schema("eta_sigma_dd",
-                     [G("d", "eps_dia", "", "A"), G("", "sigma_dd", "", "A")],
-                     [], identity_word=("d", "A")))
 
     # Mixed interaction laws (the N- and I-shaped equations).
     s.append(_schema("zigzag_n_b",
@@ -328,100 +319,47 @@ def _build_registry() -> dict[str, EquationSchema]:
     s.append(_schema("zigzag_n_d",
                      [G("", "delta_bd", "d", "A"), G("b", "delta_dd", "", "A")],
                      [G("", "delta_dd", "", "A"), G("", "delta_bd", "", "A")]))
-    s.append(_schema("zigzag_i_b",
-                     [G("d", "delta_bb", "", "A"), G("", "delta_db", "b", "A")],
-                     [G("", "delta_db", "", "A"), G("", "delta_bb", "", "A")]))
-    s.append(_schema("zigzag_i_d",
-                     [G("d", "delta_bd", "", "A"), G("", "delta_db", "d", "A")],
-                     [G("", "delta_dd", "", "A"), G("", "delta_bd", "", "A")]))
-    s.append(_schema("zigzag_n_b_s",
-                     [G("", "sigma_bb", "d", "A"), G("b", "sigma_bd", "", "A")],
-                     [G("", "sigma_bd", "", "A"), G("", "sigma_bb", "", "A")]))
-    s.append(_schema("zigzag_n_d_s",
-                     [G("", "sigma_db", "d", "A"), G("d", "sigma_bd", "", "A")],
-                     [G("", "sigma_dd", "", "A"), G("", "sigma_db", "", "A")]))
-    s.append(_schema("zigzag_i_b_s",
-                     [G("b", "sigma_db", "", "A"), G("", "sigma_bd", "b", "A")],
-                     [G("", "sigma_bd", "", "A"), G("", "sigma_bb", "", "A")]))
-    s.append(_schema("zigzag_i_d_s",
-                     [G("d", "sigma_db", "", "A"), G("", "sigma_dd", "b", "A")],
-                     [G("", "sigma_dd", "", "A"), G("", "sigma_db", "", "A")]))
 
     # Permutation generators.
     s.append(_schema("invol_chi_bb",
                      [G("", "chi_bb", "", "A"), G("", "chi_bb", "", "A")],
                      [], identity_word=("bb", "A")))
-    s.append(_schema("invol_chi_dd",
-                     [G("", "chi_dd", "", "A"), G("", "chi_dd", "", "A")],
-                     [], identity_word=("dd", "A")))
     s.append(_schema("yb_chi_bb",
                      [G("", "chi_bb", "b", "A"), G("b", "chi_bb", "", "A"),
                       G("", "chi_bb", "b", "A")],
                      [G("b", "chi_bb", "", "A"), G("", "chi_bb", "b", "A"),
                       G("b", "chi_bb", "", "A")]))
-    s.append(_schema("yb_chi_dd",
-                     [G("", "chi_dd", "d", "A"), G("d", "chi_dd", "", "A"),
-                      G("", "chi_dd", "d", "A")],
-                     [G("d", "chi_dd", "", "A"), G("", "chi_dd", "d", "A"),
-                      G("d", "chi_dd", "", "A")]))
     s.append(_schema("eps_chi_bb",
                      [G("", "chi_bb", "", "A"), G("", "eps_box", "b", "A")],
                      [G("b", "eps_box", "", "A")]))
-    s.append(_schema("eps_chi_dd",
-                     [G("", "eps_dia", "d", "A"), G("", "chi_dd", "", "A")],
-                     [G("d", "eps_dia", "", "A")]))
     s.append(_schema("delta_chi_bb",
                      [G("", "chi_bb", "", "A"), G("", "delta_bb", "b", "A")],
                      [G("b", "delta_bb", "", "A"), G("", "chi_bb", "b", "A"),
                       G("b", "chi_bb", "", "A")]))
-    s.append(_schema("delta_chi_dd",
-                     [G("", "delta_dd", "d", "A"), G("", "chi_dd", "", "A")],
-                     [G("d", "chi_dd", "", "A"), G("", "chi_dd", "d", "A"),
-                      G("d", "delta_dd", "", "A")]))
     s.append(_schema("chi_delta_bb",
                      [G("", "delta_bb", "", "A"), G("", "chi_bb", "", "A")],
                      [G("", "delta_bb", "", "A")]))
-    s.append(_schema("chi_delta_dd",
-                     [G("", "chi_dd", "", "A"), G("", "delta_dd", "", "A")],
-                     [G("", "delta_dd", "", "A")]))
 
     # Mixing permutation: diamond-past-box.
     s.append(_schema("eps_box_chi_db",
                      [G("", "chi_db", "", "A"), G("", "eps_box", "d", "A")],
                      [G("d", "eps_box", "", "A")]))
-    s.append(_schema("eps_dia_chi_db",
-                     [G("", "eps_dia", "b", "A"), G("", "chi_db", "", "A")],
-                     [G("b", "eps_dia", "", "A")]))
     s.append(_schema("delta_bb_chi_db",
                      [G("", "chi_db", "", "A"), G("", "delta_bb", "d", "A")],
                      [G("d", "delta_bb", "", "A"), G("", "chi_db", "b", "A"),
                       G("b", "chi_db", "", "A")]))
-    s.append(_schema("delta_dd_chi_db",
-                     [G("", "delta_dd", "b", "A"), G("", "chi_db", "", "A")],
-                     [G("d", "chi_db", "", "A"), G("", "chi_db", "d", "A"),
-                      G("b", "delta_dd", "", "A")]))
 
     # The converse mixing permutation, as the formal inverse.
     s.append(_schema("eps_box_chi_bd",
                      [G("", "eps_box", "d", "A")],
                      [G("", "chi_bd", "", "A"), G("d", "eps_box", "", "A")]))
-    s.append(_schema("eps_dia_chi_bd",
-                     [G("", "eps_dia", "b", "A")],
-                     [G("b", "eps_dia", "", "A"), G("", "chi_bd", "", "A")]))
     s.append(_schema("delta_bb_chi_bd",
                      [G("", "delta_bb", "d", "A"), G("b", "chi_bd", "", "A"),
                       G("", "chi_bd", "b", "A")],
                      [G("", "chi_bd", "", "A"), G("d", "delta_bb", "", "A")]))
-    s.append(_schema("delta_dd_chi_bd",
-                     [G("", "chi_bd", "d", "A"), G("d", "chi_bd", "", "A"),
-                      G("", "delta_dd", "b", "A")],
-                     [G("b", "delta_dd", "", "A"), G("", "chi_bd", "", "A")]))
     s.append(_schema("chi_inv_db",
                      [G("", "chi_db", "", "A"), G("", "chi_bd", "", "A")],
                      [], identity_word=("db", "A")))
-    s.append(_schema("chi_inv_bd",
-                     [G("", "chi_bd", "", "A"), G("", "chi_db", "", "A")],
-                     [], identity_word=("bd", "A")))
 
     # Collapse equations.
     s.append(_schema("triv_eps_box",
@@ -461,13 +399,15 @@ def _build_registry() -> dict[str, EquationSchema]:
                      [G("", "eps_dia", "d", "A")],
                      [G("d", "eps_dia", "", "A")]))
 
-    # Mirrored preordering equations (instance-built: the mirror places the
-    # reversed index word as an application prefix, which the factor-pattern
-    # language cannot express).
-    for i in range(1, 7):
-        s.append(EquationSchema(f"preorder_{i}_s", (), (),
-                                mirror_of=f"preorder_{i}"))
-    return {schema.id: schema for schema in s}
+    # Mirrored preordering equations, built from the mirror images of their
+    # base's instances, which place the reversed index word in the prefix.
+    s += [EquationSchema(f"preorder_{i}_s", (), (), mirror_of=f"preorder_{i}")
+          for i in range(1, 7)]
+    registry = {schema.id: schema for schema in s}
+    for table, image in ((_DUALS, _dual), (_MIRRORS, _mirror)):
+        for sid, source in table:
+            registry[sid] = image(registry[source], sid)
+    return registry
 
 
 SCHEMAS: dict[str, EquationSchema] = _build_registry()
