@@ -6,12 +6,15 @@ the terms are not equal; a failed check suite), 2 type mismatch for ``eq``,
 3 unknown (``prove``: no derivation within the budget, although the
 diagrams are equal), 64 usage error, 65 domain error (bad input, ill-typed
 term, and so on), 70 internal error (a proof-search guard failure or any
-other unexpected exception; never a verdict).
+other unexpected exception; never a verdict), 141 standard output was
+closed before all output was written (128 + SIGPIPE, the status a shell
+gives a process a broken pipe kills; nothing goes to standard error).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from random import Random
 
@@ -53,6 +56,7 @@ UNKNOWN = 3
 USAGE_ERROR = 64
 DOMAIN_ERROR = 65
 INTERNAL_ERROR = 70
+BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,6 +292,20 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output.  Point its descriptor at the
+        # null device, so the flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    return code
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -295,6 +313,8 @@ def run(argv: list[str]) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        raise  # not the command's fault: run() answers it
     except SoundnessViolation as exc:  # a library fault, not bad input
         error = exc
     except (TermError, ValueError) as exc:

@@ -560,20 +560,50 @@ def enum_hom(q: HomQuery) -> HomResult:
     return result
 
 
+# The moves of the bounded search, per base theory: for each word a search
+# has visited, the theory's factors from it in the order of
+# :func:`theories.applicable_factors`, each with its target word and its
+# ``plain_frame(REL, STD)`` step.  An entry is built the first time any
+# search visits its word, and holds every factor, whatever its target's
+# length, so one entry serves every query; each search filters the targets
+# by its own ``max_len``.  The table grows only with the words of at most
+# ``max_len`` letters that searches have visited.
+_MOVES: dict[Theory, dict[str, list[tuple[str, Factor, dg.Step]]]] = {}
+
+
 def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
     """Breadth-first image search over (word, strand table) states, each
-    reached by a path of at most ``witness_budget`` factors.
+    reached by a path of at most ``witness_budget`` factors through words of
+    at most ``max_len`` letters.
 
     Only relational theories come here: the split-equivalence theories are
     s5 and fives, and their hom-sets are enumerated exactly.  A state's table
     is the one :func:`diagram.fold` keeps, a bit mask of source strands per
-    target strand, and an edge applies one factor's step to a copy of its
-    parent's table.  With the source fixed, the table determines the
-    relation, so every (word, relation) state is visited once, and the first
-    path to reach a relation on the target word is its witness.  Diagrams
-    are built only for those arrows, from their tables, in the order of
-    their keys under the base functor; the sharp quotients then identify
-    arrows of equal image.
+    target strand, and an edge applies one factor's step (from
+    :data:`_MOVES`) to a copy of its parent's table.  With the source fixed,
+    the table determines the relation, so every (word, relation) state is
+    visited once, and the first path to reach a relation on the target word
+    is its witness.  Diagrams are built only for those arrows, from their
+    tables, in the order of their keys under the base functor; the sharp
+    quotients then identify arrows of equal image.
+
+    The search first walks the word graph from the source for the budget's
+    steps, and computes each word's distance to the target back over those
+    edges; at level k it skips every edge whose new word cannot reach the
+    target in the ``witness_budget - k - 1`` steps left.  (A path that fits
+    in the steps left from a word the search reaches leaves only words the
+    walk reached before its last step, so its edges were all walked.)  Call
+    a state useful when its word can reach the target in the steps left.
+    The skips change no arrow, no order and no witness:
+
+    - the parent of a useful state's first visit has an edge to its word,
+      so it is useful too, one level up;
+    - so, level by level, each pruned frontier is the old frontier with the
+      states that are not useful left out, in the same order, and the
+      earliest (state, move) pair of the old search that reaches a useful
+      state is still the earliest: every useful state is first visited by
+      the same path;
+    - every state on the target word is useful, at distance 0.
     """
     base = theory.base
     if base.target != REL:
@@ -581,8 +611,41 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
                         f"not {base.id}")
     slack = 2
     max_len = max(len(q.src), len(q.tgt)) + slack
+    budget = q.witness_budget
+    moves = _MOVES.setdefault(base, {})
     frame = plain_frame(REL, STD)
-    moves: dict[str, list[tuple[str, Factor, dg.Step]]] = {}
+    # The word graph from the source, and its edges into each word.
+    seen = {q.src}
+    layer = [q.src]
+    sources: dict[str, list[str]] = {}
+    for _ in range(budget):
+        grown_words = []
+        for word in layer:
+            out = moves.get(word)
+            if out is None:
+                factors = applicable_factors(base, word)
+                out = moves[word] = list(zip([f.tgt for f in factors], factors,
+                                             frame.steps(factors)))
+            for new_word, _, _ in out:
+                if len(new_word) > max_len:
+                    continue
+                sources.setdefault(new_word, []).append(word)
+                if new_word not in seen:
+                    seen.add(new_word)
+                    grown_words.append(new_word)
+        layer = grown_words
+    # Each word's distance to the target; a word without one cannot reach
+    # it within the budget, and no word longer than max_len has one.
+    distance = {q.tgt: 0} if q.tgt in seen else {}
+    layer = list(distance)
+    while layer:
+        grown_words = []
+        for word in layer:
+            for prev in sources.get(word, ()):
+                if prev not in distance:
+                    distance[prev] = distance[word] + 1
+                    grown_words.append(prev)
+        layer = grown_words
     start = tuple(1 << i for i in range(len(q.src)))
     states = {(q.src, start)}
     # A path is a linked list of factors, last factor first.
@@ -590,16 +653,15 @@ def _bounded_search(theory: Theory, q: HomQuery, result: HomResult) -> None:
     found: dict[tuple, Optional[tuple]] = {}
     if q.src == q.tgt:
         found[start] = None
-    for _ in range(q.witness_budget):
+    for level in range(budget):
+        left = budget - level - 1
         grown = []
         for word, table, path in frontier:
-            if word not in moves:
-                factors = [f for f in applicable_factors(base, word)
-                           if len(f.tgt) <= max_len]
-                steps = frame.steps(factors)
-                moves[word] = [(f.tgt, f, step)
-                               for f, step in zip(factors, steps)]
             for new_word, factor, step in moves[word]:
+                # A word with no distance gets the budget: more than any
+                # number of steps left.
+                if distance.get(new_word, budget) > left:
+                    continue
                 stepped = list(table)
                 dg.rel_step(stepped, step)
                 new_table = tuple(stepped)

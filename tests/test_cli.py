@@ -1,9 +1,14 @@
 """Command-line surface: exit codes and deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from modalcoherence import cli, rewrite
 from modalcoherence.cli import (
+    BROKEN_PIPE,
     DOMAIN_ERROR,
     INTERNAL_ERROR,
     UNKNOWN,
@@ -246,3 +251,24 @@ def test_guard_failure_is_an_internal_error(capsys, monkeypatch):
     assert code == INTERNAL_ERROR == 70
     assert out == ""
     assert err.startswith("internal error: SoundnessViolation: ")
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader of standard output is gone before the command writes, with
+    # and without Python's output buffer, so the write or the final flush
+    # fails: the exit code says so, and standard error stays empty.
+    src = Path(cli.__file__).resolve().parents[1]
+    for unbuffered in ("1", ""):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modalcoherence.cli", "check",
+                 "--suite", "soundness", "--theory", "s5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == BROKEN_PIPE == 141, unbuffered
+        assert proc.stderr == b"", unbuffered

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from modalcoherence import diagram as dg
-from modalcoherence.decide import mirror_term, random_term
+from modalcoherence.decide import HomQuery, enum_hom, mirror_term, random_term
 from modalcoherence.interp import decide_equal, interp
 from modalcoherence.quotient import (
     interp_sharp,
@@ -28,7 +28,7 @@ from modalcoherence.terms import (
     term_factors,
     term_type,
 )
-from modalcoherence.theories import typecheck
+from modalcoherence.theories import get_theory, typecheck
 
 
 def test_sharp():
@@ -240,6 +240,36 @@ def test_skeleton_s42_and_preorders():
     assert skeleton("fives_triv").objects == ("b", "", "d")
     with pytest.raises(TermError):
         skeleton("s5")
+
+
+def test_skeletons_match_hom_sets():
+    # A skeleton object reaches another exactly when the base theory has an
+    # arrow between them.  Grouping the words of at most three letters by
+    # arrows both ways gives one class per skeleton object.  For s5 and
+    # fives the hom-sets are exact, and so are their 3 classes; for
+    # s4_boxdia and s42 the hom-sets come from the bounded search at budget
+    # 6, so their 7 and 5 classes are bounded by the budget, not theorems:
+    # an arrow the search misses could split a class.
+    words = ["".join(w) for n in range(4)
+             for w in itertools.product("bd", repeat=n)]
+    for tid, count in (("s4_boxdia_triv", 7), ("s42_triv", 5),
+                       ("s5_triv", 3), ("fives_triv", 3)):
+        sk = skeleton(tid)
+        base = get_theory(tid).base.id
+        arrow = {(a, b): len(enum_hom(HomQuery(base, a, b, 6))) > 0
+                 for a in words for b in words}
+        for a in sk.objects:
+            assert sk.reaches(a) == {b for b in sk.objects if arrow[a, b]}, (tid, a)
+        classes: list[list[str]] = []
+        for w in words:
+            for cls in classes:
+                if arrow[w, cls[0]] and arrow[cls[0], w]:
+                    cls.append(w)
+                    break
+            else:
+                classes.append([w])
+        assert len(classes) == count, tid
+        assert all(sum(o in cls for o in sk.objects) == 1 for cls in classes), tid
 
 
 def test_skeleton_json():
