@@ -349,30 +349,44 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
     The instances of one schema at one index word form a tree, walked
     breadth-first: the inner arrows grow one factor at a time, in the order
     of ``theories.enumerate_factor_terms``, and a schema without an arrow
-    is the root alone.  A node holds, for each side, its running word and
-    the strand table of the functor's :class:`Frame` up to the end of the
-    inner arrow; a child copies them and adds one factor under the arrow's
-    prefix.  Every factor is checked where it is added, as
-    ``terms.chain_target`` and ``theories.check_admitted`` check it.  An
-    instance copies each side's table, steps the factors after the arrow
-    and the closing steps, and compares source, target and
-    :func:`diagram.fold_key` across the sides.  The frame's final mirror
-    image is left out: the sides have equal types wherever their keys are
-    compared, and mirroring both relabels both alike.  A failure is rebuilt
-    with ``schemas.instantiate`` to be printed.
+    is the root alone.  A node holds, for each side with the arrow, its
+    running word and the strand table of the functor's :class:`Frame` up
+    to the end of the inner arrow.  A move table, made for this call
+    alone, lists each node's moves once per inner word and per running
+    word and arrow prefix of each side: every factor applicable to the
+    inner word, and for each side the running word after that factor
+    under the prefix and its step.  Each factor is checked when its entry
+    is built, as ``terms.chain_target`` and ``theories.check_admitted``
+    check it, so nodes that share an entry do not check it again.  A child
+    copies its parent's tables and applies the stored steps.  The nodes at
+    depth ``f_bound``, most of the tree, are leaves, and no node is made
+    for them: each leaf instance copies each side's table of its parent
+    once and folds the move's step, the factors after the arrow and the
+    closing steps in one pass.  The leaves are checked after every node of
+    the level above, so failures stay in breadth-first order.
+    An instance compares source, target and :func:`diagram.fold_key`
+    across the sides.  The frame's final mirror image is left out: the
+    sides have equal types wherever their keys are compared, and
+    mirroring both relabels both alike.  A failure is rebuilt with
+    ``schemas.instantiate`` to be printed.
     """
     theory = get_theory(theory)
     for name, bound in (("idx_bound", idx_bound), ("f_bound", f_bound)):
         if bound < 0:
             raise ValueError(f"{name} must be non-negative, got {bound}")
-    frame = None
-    if theory.quotient != TRIV:
+    # A preorder quotient admits the standard variant alone, under which
+    # types alone are compared; check_variant refuses every other.
+    if theory.quotient != TRIV or variant != STD:
         check_variant(theory, variant)
-        frame = side_frame(theory, variant)
+    frame = None if theory.quotient == TRIV else side_frame(theory, variant)
     words = _all_words(idx_bound)
     failures: list[SoundnessFailure] = []
     instances = 0
-    moves: dict[str, list[Factor]] = {}
+    # (inner word, then per side its arrow's prefix and running word, or
+    # None without the arrow) -> per factor g from the inner word: g, and
+    # per side the running word after g under the prefix and g's step
+    # there (None without the arrow).
+    moves: dict[tuple, list[tuple[Factor, list]]] = {}
 
     def checked(word: str, factors: list[Factor]) -> str:
         # The running word after the factors.
@@ -381,17 +395,36 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
             check_admitted(theory, factors)
         return word
 
-    def added(side: tuple, factor: Factor) -> tuple:
-        # A copy of the side (running word, table, parent) with the factor
-        # added.
-        word, table, parent = side
-        word = checked(word, [factor])
+    def node_moves(inner: str, prefixes: list, sides: list) -> list:
+        # The node's entry in the move table, built on first use.
+        key = (inner, *[None if side is None else (prefix, side[0])
+                        for prefix, side in zip(prefixes, sides)])
+        entry = moves.get(key)
+        if entry is None:
+            entry = moves[key] = []
+            for g in applicable_factors(theory, inner):
+                row = []
+                for prefix, side in zip(prefixes, sides):
+                    if side is None:
+                        row.append(None)
+                        continue
+                    factor = Factor(prefix + g.prefix, g.kind, g.index)
+                    row.append((checked(side[0], [factor]), None
+                                if frame is None else frame.steps([factor])[0]))
+                entry.append((g, row))
+        return entry
+
+    def stepped(side: tuple, move: tuple) -> tuple:
+        # A copy of the side (running word, table, parent) after the move
+        # (running word, step).
+        running, step = move
         if frame is None:
-            return word, None, None
+            return running, None, None
+        _, table, parent = side
         table = list(table)
         parent = None if parent is None else list(parent)
-        dg.fold_steps(table, parent, frame.steps([factor]))
-        return word, table, parent
+        dg.fold_steps(table, parent, (step,))
+        return running, table, parent
 
     def ending(src: str, running: str, factors: list[Factor]) -> tuple:
         # A side's target, its steps after the inner arrow and the label
@@ -402,77 +435,106 @@ def check_soundness(theory: "Theory | str", variant: str = STD,
         return (tgt, frame.steps(factors) + frame.closing(tgt),
                 frame.labels(src, tgt)[1])
 
-    def summary(src: str, side: tuple, tail: tuple) -> tuple:
-        # What must agree across the sides of an instance.
-        _, table, parent = side
-        tgt, steps, label = tail
+    def summary(src: str, width: int, table: list, parent: Optional[list],
+                steps: list, tail: tuple) -> tuple:
+        # What must agree across the sides of an instance: the side's table
+        # after the steps and the tail's steps.
+        tgt, tail_steps, label = tail
         if frame is None:
             return src, tgt
+        steps = steps + tail_steps
         if steps:
             table = list(table)
             parent = None if parent is None else list(parent)
             dg.fold_steps(table, parent, steps)
-        return src, tgt, dg.fold_key(frame.width(src), table, parent, label)
+        return src, tgt, dg.fold_key(width, table, parent, label)
 
     for schema_id in theory.equations:
         schema = get_schema(schema_id)
         depths = f_bound if schema.naturality else 0
         # (side, running word at the end of the inner arrow) -> ending.
         tails: dict[tuple[int, str], tuple] = {}
+
+        def failure(word: str, path: Optional[tuple]) -> SoundnessFailure:
+            # The instance whose inner arrow is the path, a linked list of
+            # its factors, last factor first.
+            factors, link = [], path
+            while link is not None:
+                factor, link = link
+                factors.append(factor)
+            factors.reverse()
+            arrow = (word, factors) if schema.naturality else None
+            lhs, rhs = instantiate(schema, word, arrow)
+            return SoundnessFailure(
+                schema.id, word,
+                str(factors_to_term(*arrow)) if arrow else None,
+                str(factors_to_term(*lhs)), str(factors_to_term(*rhs)))
+
         for word in words:
             opened = open_sides(schema, word)
-            root, whole = [], []
+            prefixes = [prefix for _, _, prefix, _ in opened]
+            root, whole, widths = [], [], []
             for src, before, prefix, _ in opened:
                 side = checked(src, before), None, None
+                width = None
                 if frame is not None:
-                    table, parent = dg.fold_start(frame.kind, frame.width(src))
+                    width = frame.width(src)
+                    table, parent = dg.fold_start(frame.kind, width)
                     dg.fold_steps(table, parent,
                                   frame.opening(src) + frame.steps(before))
                     side = side[0], table, parent
-                root.append(side)
+                widths.append(width)
                 # A side without the arrow is the same in every instance.
-                whole.append(None if prefix is not None else
-                             summary(src, side, ending(src, side[0], [])))
-            # A node is (inner arrow's target, path, sides); a path is a
-            # linked list of the inner factors, last factor first.
+                root.append(side if prefix is not None else None)
+                whole.append(None if prefix is not None else summary(
+                    src, width, side[1], side[2], [],
+                    ending(src, side[0], [])))
+
+            def summaries(inner: str, sides: list, row: Optional[list]):
+                # Both sides' summaries at the node (inner word, sides), or
+                # at its leaf by the move row.
+                out = whole[:]
+                for k, (src, _, prefix, after) in enumerate(opened):
+                    if prefix is None:
+                        continue
+                    running, table, parent = sides[k]
+                    steps = []
+                    if row is not None:
+                        running, step = row[k]
+                        steps = [step]
+                    tail = tails.get((k, running))
+                    if tail is None:
+                        tail = tails[k, running] = ending(
+                            src, running, build_side(after, {"B": inner}))
+                    out[k] = summary(src, widths[k], table, parent, steps, tail)
+                return out
+
+            # A node is (inner arrow's target, path, sides).
             level = [(word, None, root)]
             for depth in range(depths + 1):
-                grown = []
+                expanded = []
                 for inner, path, sides in level:
                     instances += 1
-                    summaries = whole[:]
-                    for k, (src, _, prefix, after) in enumerate(opened):
-                        if prefix is None:
-                            continue
-                        running = sides[k][0]
-                        tail = tails.get((k, running))
-                        if tail is None:
-                            tail = tails[k, running] = ending(
-                                src, running, build_side(after, {"B": inner}))
-                        summaries[k] = summary(src, sides[k], tail)
-                    if summaries[0] != summaries[1]:
-                        factors, link = [], path
-                        while link is not None:
-                            factor, link = link
-                            factors.append(factor)
-                        factors.reverse()
-                        arrow = (word, factors) if schema.naturality else None
-                        lhs, rhs = instantiate(schema, word, arrow)
-                        failures.append(SoundnessFailure(
-                            schema.id, word,
-                            str(factors_to_term(*arrow)) if arrow else None,
-                            str(factors_to_term(*lhs)),
-                            str(factors_to_term(*rhs))))
-                    if depth == depths:
-                        continue
-                    if inner not in moves:
-                        moves[inner] = applicable_factors(theory, inner)
-                    for g in moves[inner]:
-                        grown.append((g.tgt, (g, path), [
-                            side if prefix is None else added(
-                                side, Factor(prefix + g.prefix, g.kind, g.index))
-                            for side, (_, _, prefix, _) in zip(sides, opened)]))
-                level = grown
+                    lhs, rhs = summaries(inner, sides, None)
+                    if lhs != rhs:
+                        failures.append(failure(word, path))
+                    if depth < depths:
+                        expanded.append(
+                            (path, sides, node_moves(inner, prefixes, sides)))
+                if depth + 1 < depths:
+                    level = [(g.tgt, (g, path), [
+                        None if move is None else stepped(side, move)
+                        for side, move in zip(sides, row)])
+                        for path, sides, entry in expanded for g, row in entry]
+                    continue
+                # The leaves, checked from their parents' tables.
+                for path, sides, entry in expanded:
+                    for g, row in entry:
+                        instances += 1
+                        lhs, rhs = summaries(g.tgt, sides, row)
+                        if lhs != rhs:
+                            failures.append(failure(word, (g, path)))
+                break
     return SoundnessReport(theory.id, variant, instances, tuple(failures))
 
 

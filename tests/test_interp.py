@@ -23,9 +23,10 @@ from modalcoherence.interp import (
     interp,
     side_frame,
 )
-from modalcoherence.schemas import SCHEMAS
+from modalcoherence.schemas import FVarPat, SCHEMAS
 from modalcoherence.terms import (
     Gen,
+    TypingError,
     mirror_factor,
     parse_term,
     term_factors,
@@ -265,6 +266,43 @@ def test_soundness_agrees_with_reference_under_clause_mutations(
         if report.failures:
             counts[f"{tid}/{variant}"] = len(report.failures)
     assert counts == expected
+
+
+def test_soundness_failure_order_across_depths(monkeypatch):
+    # Deliberate fault: nat_eps_box with nat_delta_bb's right side has
+    # unequal types at every depth of the inner-arrow tree, so the sweep
+    # must list the failures of a level after every failure of the level
+    # above, in the order the reference lists them.
+    schema = SCHEMAS["nat_eps_box"]
+    monkeypatch.setitem(SCHEMAS, "nat_eps_box",
+                        replace(schema, rhs=SCHEMAS["nat_delta_bb"].rhs))
+    counts = {}
+    for tid in ("s4_box", "s5", "s42", "s4_boxdia"):
+        report = check_soundness(tid, STD, 2, 2)
+        assert report == soundness_reference.check_soundness(
+            tid, STD, 2, 2), tid
+        counts[tid] = len(report.failures)
+    assert counts["s4_box"] == 45 and counts["s5"] == 292
+
+
+def test_soundness_types_every_move(monkeypatch):
+    # Deliberate fault: the right side's arrow under a prefix its running
+    # word lacks.  Its first factor must be checked when it is added.
+    schema = SCHEMAS["nat_eps_box"]
+    monkeypatch.setitem(SCHEMAS, "nat_eps_box", replace(
+        schema, rhs=(*schema.rhs[:-1], FVarPat("d" + schema.rhs[-1].prefix))))
+    for sweep in (check_soundness, soundness_reference.check_soundness):
+        with pytest.raises(TypingError, match="^composition mismatch: "
+                           "inner target e != outer source d$"):
+            sweep("s4_boxdia", STD, 2, 2)
+
+
+def test_soundness_preorder_quotient_admits_the_standard_variant_alone():
+    assert admitted_variants("s5_triv") == [STD]
+    for variant in ("bogus", "dual"):
+        with pytest.raises(VariantError):
+            check_soundness("s5_triv", variant, 1, 1)
+    assert check_soundness("s5_triv", STD, 1, 1).passed
 
 
 # Instances per (theory, functor variant) at idx_bound=2, f_bound=2: every
